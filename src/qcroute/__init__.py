@@ -56,7 +56,9 @@ from .vqe import (
     GlobalAssignment,
     SolveResult,
     VqeConfig,
+    cable_block,
     minimize,
+    solve_cable,
     solve_decomposed,
     vqe_solve,
 )

@@ -25,14 +25,8 @@ from .metrics import (
     summary_table,
 )
 from .oracle import brute_force_min, shortest_path_opt
-from .qubo import (
-    build_cable_qubo,
-    default_penalties,
-    ising_document,
-    qubo_document,
-    scale_penalties,
-)
-from .vqe import VqeConfig, cable_subseed, vqe_solve
+from .qubo import ising_document, qubo_document
+from .vqe import VqeConfig, cable_block, solve_cable
 
 __all__ = ["main", "main_entry"]
 
@@ -55,13 +49,8 @@ def _load_instance(path: str) -> Instance:
         return parse_instance(handle.read())
 
 
-def _solver_config(args, seed: int | None = None) -> VqeConfig:
-    return VqeConfig(
-        shots=args.shots,
-        reps=args.reps,
-        maxiter=args.maxiter,
-        seed=args.seed if seed is None else seed,
-    )
+def _solver_config(args) -> VqeConfig:
+    return VqeConfig(shots=args.shots, reps=args.reps, maxiter=args.maxiter, seed=args.seed)
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -84,8 +73,7 @@ def cmd_validate(args) -> int:
 def cmd_qubo(args) -> int:
     instance = _load_instance(args.path)
     cable = instance.cable(args.cable)
-    penalties = scale_penalties(default_penalties(instance, cable), args.kappa)
-    block = build_cable_qubo(instance, cable, penalties)
+    block = cable_block(instance, cable, args.kappa)
     document = ising_document(block) if args.ising else qubo_document(block)
     text = json.dumps(document, indent=2) + "\n"
     if args.out:
@@ -93,10 +81,10 @@ def cmd_qubo(args) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    eta = ",".join(_fmt(e) for e in penalties.as_vector())
+    eta = ",".join(_fmt(e) for e in block.penalties.as_vector())
     print(
         f"cable={cable.id} dim={block.dim} offset={_fmt(block.offset)} "
-        f"eta=({eta}) kappa={_fmt(penalties.kappa)}",
+        f"eta=({eta}) kappa={_fmt(block.penalties.kappa)}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -126,27 +114,18 @@ def cmd_solve(args) -> int:
             continue
         if args.method == "dijkstra":
             solution = shortest_path_opt(instance, cable)
-            lines.append(_result_line(cable.id, True, solution.route, solution.objective, solution.energy))
-            total_energy += solution.energy
-            continue
-        penalties = scale_penalties(default_penalties(instance, cable), args.kappa)
-        block = build_cable_qubo(instance, cable, penalties)
-        if args.method == "brute":
-            solution = brute_force_min(block, instance)
+            feasible, route, objective, energy = True, solution.route, solution.objective, solution.energy
+        elif args.method == "brute":
+            solution = brute_force_min(cable_block(instance, cable, args.kappa), instance)
             feasible = bool(solution.route)
-            objective = solution.objective if feasible else None
-            lines.append(_result_line(cable.id, feasible, solution.route, objective, solution.energy))
-            total_energy += solution.energy
-            all_feasible = all_feasible and feasible
+            route, objective, energy = solution.route, solution.objective if feasible else None, solution.energy
         else:
-            config = _solver_config(args, seed=cable_subseed(args.seed, index))
-            result = vqe_solve(block, config, instance)
-            route = result.feasibility.decoded_route or ()
-            lines.append(
-                _result_line(cable.id, result.feasibility.feasible_path, route, result.objective, result.energy)
-            )
-            total_energy += result.energy
-            all_feasible = all_feasible and result.feasibility.feasible_path
+            result = solve_cable(instance, index, args.kappa, _solver_config(args))
+            feasible = result.feasibility.feasible_path
+            route, objective, energy = result.feasibility.decoded_route or (), result.objective, result.energy
+        lines.append(_result_line(cable.id, feasible, route, objective, energy))
+        total_energy += energy
+        all_feasible = all_feasible and feasible
 
     for line in lines:
         print(line)
@@ -155,15 +134,26 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _sweep_jobs(args) -> int:
+    """``--jobs`` if given, else the environment variable, else 1."""
+    if args.jobs is not None:
+        return args.jobs
+    text = os.environ.get(_JOBS_ENV, "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"{_JOBS_ENV} must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def cmd_sweep(args) -> int:
     instance = _load_instance(args.path)
     kappas = [float(k) for k in args.kappas.split(",") if k]
     config = _solver_config(args)
+    jobs = _sweep_jobs(args)
 
     def progress(kappa: float, seed: int) -> None:
         print(f"sweep kappa={_fmt(kappa)} seed={seed} done", file=sys.stderr)
 
-    report = run_sweep(instance, kappas, args.seeds, config, jobs=args.jobs, progress=progress)
+    report = run_sweep(instance, kappas, args.seeds, config, jobs=jobs, progress=progress)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(records_to_csv(report.records))
     sys.stdout.write(summary_table(report))
@@ -220,10 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, default=30, help="number of seeds")
     p_sweep.add_argument("--out", default="results.csv", help="results CSV path")
     p_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get(_JOBS_ENV, "1")),
-        help=f"parallel worker processes (env {_JOBS_ENV})",
+        "--jobs", type=int, help=f"parallel worker processes, at least 1 (default: env {_JOBS_ENV} or 1)"
     )
     _add_solver_flags(p_sweep)
     p_sweep.set_defaults(fn=cmd_sweep)

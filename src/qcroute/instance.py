@@ -21,6 +21,7 @@ Instances are immutable after validation and safe to share across workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -127,6 +128,8 @@ def _number(value, where: str, minimum: float = 0.0) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceError(f"{where}: expected a number, got {value!r}")
     x = float(value)
+    if not math.isfinite(x):
+        raise InstanceError(f"{where}: {x} is not a finite number")
     if x < minimum:
         raise InstanceError(f"{where}: {x} is negative")
     return x

@@ -15,17 +15,16 @@ lossless and re-aggregation is exact.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .instance import Instance
 from .oracle import shortest_path_opt
-from .vqe import VqeConfig, solve_decomposed
+from .vqe import VqeConfig, cable_subseed, solve_decomposed
 
 __all__ = [
     "RunRecord",
@@ -126,14 +125,10 @@ def opt_gap_stats(
     return mean, quartiles
 
 
-def _run_seed(master_seed: int, run_index: int) -> int:
-    return int(np.random.SeedSequence((master_seed, run_index)).generate_state(1, np.uint64)[0])
-
-
 def _sweep_cell(args) -> list[RunRecord]:
     instance, kappa, run_index, config, oracle_objectives = args
     assignment = solve_decomposed(
-        instance, kappa, replace(config, seed=_run_seed(config.seed, run_index))
+        instance, kappa, replace(config, seed=cable_subseed(config.seed, run_index))
     )
     records = []
     for result in assignment.results:
@@ -179,6 +174,8 @@ def run_sweep(
         raise ValueError("kappas must be nonempty")
     if num_seeds < 1:
         raise ValueError("num_seeds must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     oracle_objectives = {
         c.id: _round12(shortest_path_opt(instance, c).objective) for c in instance.cables
     }
@@ -188,15 +185,10 @@ def run_sweep(
         for run_index in range(num_seeds)
     ]
     chunks = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for cell, chunk in zip(cells, pool.map(_sweep_cell, cells)):
-                chunks.append(chunk)
-                if progress is not None:
-                    progress(cell[1], cell[2])
-    else:
-        for cell in cells:
-            chunks.append(_sweep_cell(cell))
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
+    with pool:
+        for cell, chunk in zip(cells, (pool.map if jobs > 1 else map)(_sweep_cell, cells)):
+            chunks.append(chunk)
             if progress is not None:
                 progress(cell[1], cell[2])
     records = [record for chunk in chunks for record in chunk]

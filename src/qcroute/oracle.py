@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Cable, Instance, incident_segments
-from .qubo import CableQubo, variable_map
+from .qubo import BLOCK_DIM_CAP, CableQubo, block_energies, variable_map
 
 __all__ = [
     "Violation",
@@ -29,10 +29,7 @@ __all__ = [
     "route_bitstring",
     "chosen_objective",
     "length_cap_ok",
-    "BRUTE_FORCE_DIM_CAP",
 ]
-
-BRUTE_FORCE_DIM_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -153,8 +150,8 @@ def brute_force_min(q: CableQubo, instance: Instance | None = None) -> OracleSol
     solution also carries the routing objective and decoded route (empty when
     the minimizer is not a single path).
     """
-    if q.dim > BRUTE_FORCE_DIM_CAP:
-        raise ValueError(f"dimension {q.dim} exceeds brute-force cap {BRUTE_FORCE_DIM_CAP}")
+    if q.dim > BLOCK_DIM_CAP:
+        raise ValueError(f"dimension {q.dim} exceeds brute-force cap {BLOCK_DIM_CAP}")
     shifts = np.arange(q.dim - 1, -1, -1, dtype=np.uint32)  # bit i of z = bit (dim-1-i) of the counter
     best_energy = np.inf
     best_index = 0
@@ -163,7 +160,7 @@ def brute_force_min(q: CableQubo, instance: Instance | None = None) -> OracleSol
         hi = min(lo + chunk, 1 << q.dim)
         counters = np.arange(lo, hi, dtype=np.uint32)
         bits = ((counters[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        energies = ((bits @ q.q) * bits).sum(axis=1) + q.offset
+        energies = block_energies(q, bits)
         arg = int(np.argmin(energies))
         if energies[arg] < best_energy:
             best_energy = float(energies[arg])

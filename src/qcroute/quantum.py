@@ -18,7 +18,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .qubo import CableQubo
+from .qubo import CableQubo, block_energies
 
 __all__ = [
     "AnsatzSpec",
@@ -185,7 +185,7 @@ def estimate_energy(
         .astype(np.float64)
         - 48.0
     )
-    energies = ((bits @ q.q) * bits).sum(axis=1) + q.offset
+    energies = block_energies(q, bits)
     w = np.array([float(items[k]) for k in keys])
     e_exp = float((w @ energies) / w.sum())
     min_energy = energies.min()

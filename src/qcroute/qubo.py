@@ -13,6 +13,7 @@ values: a feasible minimum's energy is exactly its routing cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +38,13 @@ __all__ = [
     "qubo_document",
     "ising_document",
     "bits_to_array",
+    "block_energies",
+    "BLOCK_DIM_CAP",
 ]
+
+# Largest block any solver takes: a 2^24-amplitude statevector (256 MiB) or
+# 2^24 enumerated bitstrings.
+BLOCK_DIM_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -60,11 +67,11 @@ class PenaltyWeights:
     kappa: float = 1.0
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.kappa < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         for name in ("eta1", "eta2", "eta3", "eta4", "w1", "w2", "w3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
 
     def as_vector(self) -> tuple[float, float, float, float]:
         return (self.eta1, self.eta2, self.eta3, self.eta4)
@@ -195,9 +202,10 @@ def _w_sums(instance: Instance, cable: Cable) -> tuple[float, float, float]:
 
 
 def scale_penalties(p: PenaltyWeights, kappa: float) -> PenaltyWeights:
-    """Multiply every eta by ``kappa``; the w record is kept, kappa accumulates."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    """Multiply every eta by ``kappa``; the w record is kept, kappa accumulates.
+
+    The accumulated kappa must stay positive and finite (PenaltyWeights checks).
+    """
     return replace(
         p,
         eta1=p.eta1 * kappa, eta2=p.eta2 * kappa,
@@ -255,6 +263,11 @@ def build_cable_qubo(instance: Instance, cable: Cable, penalties: PenaltyWeights
         penalties=penalties,
         cable_id=cable.id,
     )
+
+
+def block_energies(q: CableQubo, bits: np.ndarray) -> np.ndarray:
+    """Energies z^T Q z + offset of the rows of a (n, dim) 0/1 float matrix."""
+    return ((bits @ q.q) * bits).sum(axis=1) + q.offset
 
 
 def qubo_energy(q: CableQubo, z) -> float:

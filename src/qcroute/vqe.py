@@ -18,10 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Cable, Instance
 from .oracle import FeasibilityReport, check_feasibility, chosen_objective
 from .quantum import AnsatzSpec, estimate_energy, exact_distribution, prepare_state, sample
-from .qubo import CableQubo, build_cable_qubo, default_penalties, qubo_energy, scale_penalties
+from .qubo import BLOCK_DIM_CAP, CableQubo, build_cable_qubo, default_penalties, qubo_energy, scale_penalties
 
 __all__ = [
     "VqeConfig",
@@ -30,12 +30,11 @@ __all__ = [
     "GlobalAssignment",
     "minimize",
     "vqe_solve",
+    "cable_block",
+    "solve_cable",
     "solve_decomposed",
     "cable_subseed",
-    "STATEVECTOR_DIM_CAP",
 ]
-
-STATEVECTOR_DIM_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,8 @@ def vqe_solve(q: CableQubo, config: VqeConfig, instance: Instance) -> SolveResul
     The instance is needed to decode feasibility and routing cost of the
     returned bitstring; the cable is looked up by the block's cable id.
     """
-    if q.dim > STATEVECTOR_DIM_CAP:
-        raise ValueError(f"dimension {q.dim} exceeds statevector cap {STATEVECTOR_DIM_CAP}")
+    if q.dim > BLOCK_DIM_CAP:
+        raise ValueError(f"dimension {q.dim} exceeds statevector cap {BLOCK_DIM_CAP}")
     cable = instance.cable(q.cable_id)
     spec = AnsatzSpec(num_qubits=q.dim, reps=config.reps)
     theta_stream, sample_stream = np.random.SeedSequence(config.seed).spawn(2)
@@ -258,23 +257,27 @@ def vqe_solve(q: CableQubo, config: VqeConfig, instance: Instance) -> SolveResul
 
 
 def cable_subseed(master_seed: int, cable_index: int) -> int:
-    """Expand the master seed into one independent stream seed per cable."""
+    """Expand a master seed into one independent stream seed per index (cable or sweep run)."""
     return int(np.random.SeedSequence((master_seed, cable_index)).generate_state(1, np.uint64)[0])
 
 
-def solve_decomposed(instance: Instance, kappa: float, config: VqeConfig) -> GlobalAssignment:
-    """Solve every cable block independently and merge.
+def cable_block(instance: Instance, cable: Cable, kappa: float) -> CableQubo:
+    """One cable's block with its baseline penalty weights scaled by ``kappa``."""
+    return build_cable_qubo(instance, cable, scale_penalties(default_penalties(instance, cable), kappa))
 
-    Per cable: derive baseline penalties, scale them by ``kappa``, build the
-    block, and run the VQE with a per-cable subseed.  The per-run qubit
-    requirement is the largest single block, never the sum.
+
+def solve_cable(instance: Instance, index: int, kappa: float, config: VqeConfig) -> SolveResult:
+    """VQE on the block of ``instance.cables[index]``, seeded by the cable's subseed."""
+    block = cable_block(instance, instance.cables[index], kappa)
+    return vqe_solve(block, replace(config, seed=cable_subseed(config.seed, index)), instance)
+
+
+def solve_decomposed(instance: Instance, kappa: float, config: VqeConfig) -> GlobalAssignment:
+    """Solve every cable with ``solve_cable`` and merge.
+
+    The per-run qubit requirement is the largest single block, never the sum.
     """
-    results = []
-    for index, cable in enumerate(instance.cables):
-        penalties = scale_penalties(default_penalties(instance, cable), kappa)
-        block = build_cable_qubo(instance, cable, penalties)
-        sub_config = replace(config, seed=cable_subseed(config.seed, index))
-        results.append(vqe_solve(block, sub_config, instance))
+    results = [solve_cable(instance, index, kappa, config) for index in range(instance.num_cables)]
     return GlobalAssignment(
         results=tuple(results),
         total_energy=sum(r.energy for r in results),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qcroute import qubo_energy, build_cable_qubo, default_penalties, parse_instance
+from qcroute import VqeConfig, qubo_energy, build_cable_qubo, default_penalties, parse_instance, solve_decomposed
 from qcroute.cli import main
 from qcroute.metrics import CSV_HEADER
 from qcroute.qubo import spins_from_bits
@@ -120,6 +120,32 @@ class TestSolve:
     def test_bad_flag_exit_2(self, triangle_path):
         assert main(["solve", triangle_path, "--method", "annealer"]) == 2
 
+    @pytest.mark.parametrize("method, kappa", [("brute", "nan"), ("vqe", "inf")])
+    def test_non_finite_kappa_exit_2(self, method, kappa, capsys):
+        assert main(["solve", "layout-1", "--method", method, "--kappa", kappa, "--maxiter", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kappa" in captured.err
+
+    def test_vqe_lines_come_from_the_library_solve(self, layout1, capsys):
+        assert main(["solve", "layout-1", "--seed", "7", "--shots", "100", "--maxiter", "20"]) == 0
+        cli_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("cable=")]
+        assignment = solve_decomposed(layout1, 1.0, VqeConfig(seed=7, shots=100, maxiter=20))
+        expected = []
+        for r in assignment.results:
+            feasible = r.feasibility.feasible_path
+            route = "-".join(r.feasibility.decoded_route) if feasible else "-"
+            objective = f"{r.objective:.12g}" if feasible else "-"
+            expected.append(
+                f"cable={r.cable_id} feasible={str(feasible).lower()} route={route} "
+                f"objective={objective} energy={r.energy:.12g}"
+            )
+        assert cli_lines == expected
+
+        # A single cable keeps its own subseed index, so its line is unchanged.
+        assert main(["solve", "layout-1", "--cable", "c3", "--seed", "7", "--shots", "100", "--maxiter", "20"]) == 0
+        assert capsys.readouterr().out.splitlines() == [expected[2]]
+
 
 class TestSweepAndReport:
     def test_small_sweep_csv_shape(self, tmp_path, capsys):
@@ -178,6 +204,19 @@ class TestSweepAndReport:
         code = main(["sweep", "layout-1", "--kappas", "1", "--seeds", "1",
                      "--out", str(out), "--shots", "50", "--maxiter", "8"])
         assert code == 3
+
+    SMALL_SWEEP = ["sweep", "layout-1", "--kappas", "1", "--seeds", "1", "--shots", "50", "--maxiter", "8"]
+
+    def test_jobs_env_not_integer_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QCROUTE_JOBS", "x")
+        assert main(self.SMALL_SWEEP + ["--out", str(tmp_path / "r.csv")]) == 2
+        assert "QCROUTE_JOBS" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_2(self, jobs, tmp_path, capsys):
+        assert main(self.SMALL_SWEEP + ["--jobs", jobs, "--out", str(tmp_path / "r.csv")]) == 2
+        assert "jobs" in capsys.readouterr().err
 
     def test_default_grid_matches_benchmark_shape(self):
         from qcroute.cli import _build_parser

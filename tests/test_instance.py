@@ -49,6 +49,8 @@ class TestParse:
             (lambda d: d["cables"][0].update(costs={"AB": 1, "BC": 1, "AC": 1}), "exactly one of"),
             (lambda d: d["cables"][0].pop("alpha"), "exactly one of"),
             (lambda d: d["segments"][0].pop("length"), "missing field"),
+            (lambda d: d["segments"][0].update(length=float("nan")), "'AB' length: nan is not a finite"),
+            (lambda d: d["cables"][0].update(alpha=float("inf")), "alpha: inf is not a finite"),
         ],
     )
     def test_validation_failures(self, mutate, message):

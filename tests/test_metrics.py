@@ -154,6 +154,11 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="num_seeds"):
             run_sweep(layout1, [1.0], 0, FAST)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_nonpositive_jobs(self, layout1, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(layout1, [1.0], 1, FAST, jobs=jobs)
+
 
 class TestCsvRoundTrip:
     def test_header(self):

@@ -15,7 +15,8 @@ from qcroute import (
     scale_penalties,
     shortest_path_opt,
 )
-from qcroute.oracle import BRUTE_FORCE_DIM_CAP, length_cap_ok, route_bitstring
+from qcroute.oracle import length_cap_ok, route_bitstring
+from qcroute.qubo import BLOCK_DIM_CAP as BRUTE_FORCE_DIM_CAP
 from reference import min_simple_path_cost, reference_minimum
 
 # Classical optima of the bundled layouts, frozen from DFS path enumeration

@@ -105,7 +105,7 @@ class TestScalePenalties:
         pens = PenaltyWeights(4, 4, 4, 1, w1=3, w2=3, w3=3)
         assert scale_penalties(scale_penalties(pens, 2.0), 2.0).kappa == 4.0
 
-    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_kappa_rejected(self, kappa):
         pens = PenaltyWeights(5, 5, 3, 1, w1=4, w2=4, w3=2)
         with pytest.raises(ValueError, match="positive"):

@@ -13,7 +13,8 @@ from qcroute import (
     solve_decomposed,
     vqe_solve,
 )
-from qcroute.vqe import STATEVECTOR_DIM_CAP, cable_subseed
+from qcroute.qubo import BLOCK_DIM_CAP as STATEVECTOR_DIM_CAP
+from qcroute.vqe import cable_block, cable_subseed, solve_cable
 from test_oracle import zero_qubo
 
 
@@ -199,3 +200,15 @@ class TestSolveDecomposed:
     def test_distinct_subseeds_per_cable(self):
         seeds = {cable_subseed(0, i) for i in range(4)}
         assert len(seeds) == 4
+
+    def test_solve_cable_is_one_entry_of_the_merge(self, layout1):
+        config = VqeConfig(seed=5, maxiter=15, shots=100)
+        assignment = solve_decomposed(layout1, 2.0, config)
+        assert solve_cable(layout1, 2, 2.0, config) == assignment.results[2]
+
+    def test_cable_block_scales_baseline_penalties(self, layout1):
+        cable = layout1.cables[1]
+        block = cable_block(layout1, cable, 0.5)
+        expected = baseline_qubo(layout1, cable, kappa=0.5)
+        assert block.penalties == expected.penalties
+        assert np.array_equal(block.q, expected.q) and block.offset == expected.offset
