@@ -31,6 +31,7 @@ from .oracle import (
 )
 from .quantum import (
     AnsatzSpec,
+    BasisWeights,
     SampleCounts,
     Statevector,
     estimate_energy,

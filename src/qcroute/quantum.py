@@ -4,7 +4,9 @@ sampling, and QUBO energy estimation.
 The ansatz is a Y-rotation layer followed, per repetition, by a linear chain
 of controlled-NOT gates (control i, target i+1) and another Y-rotation layer.
 Only real-amplitude states arise, which is sufficient because the cost
-operator is diagonal in the computational basis.
+operator is diagonal in the computational basis, so states are held as real
+float64 vectors.  Measurement results are keyed by basis index inside; the
+'0'/'1' bitstring form is built only where a caller reads it.
 
 Bit-ordering convention, fixed everywhere: variable i of the QUBO block is
 qubit i is the i-th character of a bitstring, and qubit i is bit i of the flat
@@ -14,15 +16,16 @@ statevector index (index = sum_i z_i * 2^i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .qubo import CableQubo, block_energies
+from .qubo import CableQubo, bits_to_array, block_energies
 
 __all__ = [
     "AnsatzSpec",
     "Statevector",
+    "BasisWeights",
     "SampleCounts",
     "prepare_state",
     "exact_distribution",
@@ -53,7 +56,7 @@ class AnsatzSpec:
 
 @dataclass(frozen=True, eq=False)
 class Statevector:
-    """Complex amplitudes of an m-qubit state, unit norm."""
+    """Real float64 amplitudes of an m-qubit state, unit norm."""
 
     amplitudes: np.ndarray
 
@@ -62,11 +65,46 @@ class Statevector:
         return int(self.amplitudes.shape[0]).bit_length() - 1
 
 
+class BasisWeights(Mapping[str, float]):
+    """Read-only bitstring -> weight mapping over basis-state indices.
+
+    ``indices`` holds the basis indices with nonzero weight, ascending and
+    unique; ``weights`` their weights, in the same order.  Lookups and
+    ``len`` work on the arrays; bitstrings are built only when iterated.
+    """
+
+    __slots__ = ("indices", "weights", "num_qubits")
+
+    def __init__(self, indices: np.ndarray, weights: np.ndarray, num_qubits: int) -> None:
+        self.indices = indices
+        self.weights = weights
+        self.num_qubits = num_qubits
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self) -> Iterator[str]:
+        for index in self.indices.tolist():
+            yield index_to_bitstring(index, self.num_qubits)
+
+    def __getitem__(self, key: str) -> float:
+        if not isinstance(key, str) or len(key) != self.num_qubits or set(key) - {"0", "1"}:
+            raise KeyError(key)
+        index = bitstring_to_index(key)
+        pos = int(np.searchsorted(self.indices, index))
+        if pos == len(self.indices) or self.indices[pos] != index:
+            raise KeyError(key)
+        return self.weights[pos].item()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class SampleCounts:
     """Measured bitstring counts; values sum to ``shots``."""
 
-    counts: dict[str, int]
+    counts: Mapping[str, int]
     shots: int
 
 
@@ -89,21 +127,15 @@ def _apply_ry(amps: np.ndarray, num_qubits: int, qubit: int, angle: float) -> No
     view[:, 1, :] = s * a0 + c * a1
 
 
-def _apply_cnot(amps: np.ndarray, num_qubits: int, control: int, target: int) -> None:
-    hi, lo = max(control, target), min(control, target)
-    view = amps.reshape(
-        1 << (num_qubits - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo
-    )
-    if control == hi:
-        sub = view[:, 1, :, :, :]
-        tmp = sub[:, :, 0, :].copy()
-        sub[:, :, 0, :] = sub[:, :, 1, :]
-        sub[:, :, 1, :] = tmp
-    else:
-        sub = view[:, :, :, 1, :]
-        tmp = sub[:, 0, :, :].copy()
-        sub[:, 0, :, :] = sub[:, 1, :, :]
-        sub[:, 1, :, :] = tmp
+def _cnot_chain(amps: np.ndarray, num_qubits: int) -> np.ndarray:
+    """CNOT(0,1), CNOT(1,2), ..., CNOT(m-2,m-1) as one gather.
+
+    The chain maps basis index x to its prefix XOR (bit j becomes
+    x_0 ^ ... ^ x_j), whose inverse is y -> y ^ (y << 1) within m bits.
+    """
+    source = np.arange(1 << num_qubits)
+    source ^= (source << 1) & ((1 << num_qubits) - 1)
+    return amps[source]
 
 
 def prepare_state(spec: AnsatzSpec, theta) -> Statevector:
@@ -118,28 +150,28 @@ def prepare_state(spec: AnsatzSpec, theta) -> Statevector:
             f"expected {spec.parameter_count} parameters, got {theta.shape}"
         )
     m = spec.num_qubits
-    amps = np.zeros(1 << m, dtype=np.complex128)
+    # The first rotation layer acts on |0...0>, so it builds a product state:
+    # qubit q maps the filled prefix a to (cos * a, sin * a), the same
+    # products the gate-by-gate update forms.  Filled in place, with no
+    # temporary state-sized arrays.
+    amps = np.empty(1 << m)
     amps[0] = 1.0
-    k = 0
-    for _ in range(spec.reps):
+    for qubit, angle in enumerate(theta[:m]):
+        half = 1 << qubit
+        np.multiply(amps[:half], np.sin(angle / 2.0), out=amps[half:2 * half])
+        amps[:half] *= np.cos(angle / 2.0)
+    for layer in range(1, spec.reps + 1):
+        amps = _cnot_chain(amps, m)
         for qubit in range(m):
-            _apply_ry(amps, m, qubit, theta[k])
-            k += 1
-        for control in range(m - 1):
-            _apply_cnot(amps, m, control, control + 1)
-    for qubit in range(m):
-        _apply_ry(amps, m, qubit, theta[k])
-        k += 1
+            _apply_ry(amps, m, qubit, theta[layer * m + qubit])
     return Statevector(amps)
 
 
-def exact_distribution(state: Statevector) -> dict[str, float]:
+def exact_distribution(state: Statevector) -> BasisWeights:
     """Measurement distribution |amplitude|^2; zero-probability states omitted."""
-    probs = np.abs(state.amplitudes) ** 2
-    m = state.num_qubits
-    return {
-        index_to_bitstring(int(i), m): float(probs[i]) for i in np.nonzero(probs)[0]
-    }
+    probs = np.square(state.amplitudes)
+    nonzero = np.flatnonzero(probs)
+    return BasisWeights(nonzero, probs[nonzero], state.num_qubits)
 
 
 def sample(state: Statevector, shots: int, rng: np.random.Generator) -> SampleCounts:
@@ -149,15 +181,18 @@ def sample(state: Statevector, shots: int, rng: np.random.Generator) -> SampleCo
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()  # guard against 1e-16 normalization drift
+    probs = np.square(state.amplitudes)
+    probs /= probs.sum()  # guard against 1e-16 normalization drift
     counts_vec = rng.multinomial(shots, probs)
-    m = state.num_qubits
-    counts = {
-        index_to_bitstring(int(i), m): int(counts_vec[i])
-        for i in np.nonzero(counts_vec)[0]
-    }
-    return SampleCounts(counts=counts, shots=shots)
+    nonzero = np.flatnonzero(counts_vec)
+    return SampleCounts(BasisWeights(nonzero, counts_vec[nonzero], state.num_qubits), shots)
+
+
+def _key_index(key, dim: int) -> int:
+    if not isinstance(key, str):
+        raise ValueError(f"bitstring key must be a str, got {key!r}")
+    bits_to_array(key, dim)  # raises ValueError naming a malformed key
+    return bitstring_to_index(key)
 
 
 def estimate_energy(
@@ -165,29 +200,39 @@ def estimate_energy(
 ) -> tuple[float, tuple[str, float]]:
     """Weighted QUBO energy plus the best observed bitstring.
 
-    ``weights`` is either sampled counts or an exact distribution.  Returns
-    (expected energy, (minimum-energy bitstring with nonzero weight, its
-    energy)); energy ties resolve to the lexicographically smallest bitstring.
+    ``weights`` is either sampled counts or an exact distribution; weights
+    must be finite and nonnegative with a positive total.  Returns (expected
+    energy, (minimum-energy bitstring with nonzero weight, its energy));
+    energy ties resolve to the lexicographically smallest bitstring.
     """
     if isinstance(weights, SampleCounts):
-        items = weights.counts
-    else:
-        items = weights
-    if not items:
+        weights = weights.counts
+    if not weights:
         raise ValueError("no weighted bitstrings to estimate from")
-    keys = list(items)
-    for key in keys:
-        if len(key) != q.dim:
-            raise ValueError(f"bitstring length {len(key)} != block dimension {q.dim}")
-    bits = (
-        np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
-        .reshape(len(keys), q.dim)
-        .astype(np.float64)
-        - 48.0
-    )
+    m = q.dim
+    if isinstance(weights, BasisWeights):
+        if weights.num_qubits != m:
+            raise ValueError(f"{weights.num_qubits}-qubit weights != block dimension {m}")
+        idx = weights.indices
+        w = np.asarray(weights.weights, dtype=np.float64)
+    else:
+        keys = list(weights)
+        idx = np.array([_key_index(key, m) for key in keys], dtype=np.int64)
+        w = np.array([float(weights[key]) for key in keys])
+    bad = ~((w >= 0.0) & (w < np.inf))  # NaN fails both comparisons
+    if bad.any():
+        pos = int(np.argmax(bad))
+        raise ValueError(
+            f"weight of {index_to_bitstring(int(idx[pos]), m)!r} must be finite and nonnegative, got {w[pos]}"
+        )
+    if not w.sum() > 0.0:
+        raise ValueError("weights must have a positive total")
+    nonzero = w > 0.0
+    if not nonzero.all():
+        idx, w = idx[nonzero], w[nonzero]
+    bits = ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64)
     energies = block_energies(q, bits)
-    w = np.array([float(items[k]) for k in keys])
     e_exp = float((w @ energies) / w.sum())
     min_energy = energies.min()
-    best_key = min(k for k, e in zip(keys, energies) if e == min_energy)
+    best_key = min(index_to_bitstring(i, m) for i in idx[energies == min_energy].tolist())
     return e_exp, (best_key, float(min_energy))

@@ -42,7 +42,7 @@ __all__ = [
     "BLOCK_DIM_CAP",
 ]
 
-# Largest block any solver takes: a 2^24-amplitude statevector (256 MiB) or
+# Largest block any solver takes: a 2^24-amplitude float64 statevector (128 MiB) or
 # 2^24 enumerated bitstrings.
 BLOCK_DIM_CAP = 24
 
@@ -151,7 +151,7 @@ def bits_to_array(z, dim: int) -> np.ndarray:
     """Normalize a bitstring (str of 0/1 or int sequence) to a float vector."""
     if isinstance(z, str):
         if len(z) != dim:
-            raise ValueError(f"bitstring length {len(z)} != dimension {dim}")
+            raise ValueError(f"bitstring {z!r} has length {len(z)} != dimension {dim}")
         if set(z) - {"0", "1"}:
             raise ValueError(f"bitstring may contain only 0/1: {z!r}")
         return np.frombuffer(z.encode("ascii"), dtype=np.uint8).astype(np.float64) - 48.0

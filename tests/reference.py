@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's matrix path: energies come from the
 literal constraint expressions, optima from pure-Python exhaustive
-enumeration, and path costs from depth-first search over all simple paths.
+enumeration, path costs from depth-first search over all simple paths, and
+ansatz states from explicit 2x2 gate matrices embedded by Kronecker products.
 They exist so that every frozen expected value in the suite was computed by
 a second route.
 """
@@ -10,6 +11,8 @@ a second route.
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 
 def incident_ids(instance, node_id):
@@ -90,3 +93,48 @@ def count_simple_paths(instance, source, terminal) -> int:
 
     dfs(source, {source})
     return total[0]
+
+
+def _embed(num_qubits, ops):
+    """Full 2^m operator with the 2x2 matrices ``ops[qubit]`` on their qubits.
+
+    Qubit i is bit i of the basis index, so qubit 0 is the rightmost
+    Kronecker factor.
+    """
+    full = np.eye(1)
+    for qubit in reversed(range(num_qubits)):
+        full = np.kron(full, ops.get(qubit, np.eye(2)))
+    return full
+
+
+def reference_ansatz(num_qubits, reps, theta):
+    """The RY / CNOT-chain ansatz as explicit matrices applied to |0...0>."""
+    def ry(angle):
+        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+        return np.array([[c, -s], [s, c]])
+
+    p0 = np.diag([1.0, 0.0])
+    p1 = np.diag([0.0, 1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    state = np.zeros(1 << num_qubits)
+    state[0] = 1.0
+    layers = [theta[k * num_qubits:(k + 1) * num_qubits] for k in range(reps + 1)]
+    for k, angles in enumerate(layers):
+        if k > 0:
+            for control in range(num_qubits - 1):
+                cnot = _embed(num_qubits, {control: p0}) + _embed(num_qubits, {control: p1, control + 1: x})
+                state = cnot @ state
+        state = _embed(num_qubits, {q: ry(a) for q, a in enumerate(angles)}) @ state
+    return state
+
+
+def cnot_chain_by_swaps(amps, num_qubits):
+    """CNOT(0,1) ... CNOT(m-2,m-1), one gate at a time, as amplitude swaps."""
+    amps = amps.copy()
+    index = np.arange(1 << num_qubits)
+    for control in range(num_qubits - 1):
+        target = control + 1
+        low = index[((index >> control) & 1 == 1) & ((index >> target) & 1 == 0)]
+        high = low | (1 << target)
+        amps[low], amps[high] = amps[high].copy(), amps[low].copy()
+    return amps

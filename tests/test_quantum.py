@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from qcroute import (
     AnsatzSpec,
+    BasisWeights,
     SampleCounts,
     build_cable_qubo,
     default_penalties,
@@ -15,9 +17,10 @@ from qcroute import (
     qubo_energy,
     sample,
 )
-from qcroute.quantum import bitstring_to_index, index_to_bitstring
+from qcroute import quantum
+from qcroute.quantum import _cnot_chain, bitstring_to_index, index_to_bitstring
 from test_oracle import zero_qubo
-from reference import reference_energy
+from reference import cnot_chain_by_swaps, reference_ansatz, reference_energy
 
 
 class TestAnsatzSpec:
@@ -72,6 +75,22 @@ class TestPrepareState:
             state = prepare_state(spec, rng.random(spec.parameter_count) * 2 * np.pi)
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("reps", [0, 1, 2])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_matrix_reference(self, m, reps):
+        rng = np.random.default_rng(100 * m + reps)
+        spec = AnsatzSpec(m, reps)
+        for _ in range(3):
+            theta = rng.random(spec.parameter_count) * 2 * np.pi
+            state = prepare_state(spec, theta)
+            assert state.amplitudes.dtype == np.float64
+            assert np.allclose(state.amplitudes, reference_ansatz(m, reps, theta), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_cnot_gather_equals_gate_by_gate_swaps(self, m):
+        amps = np.random.default_rng(m).standard_normal(1 << m)
+        assert np.array_equal(_cnot_chain(amps, m), cnot_chain_by_swaps(amps, m))
+
     def test_parameter_count_mismatch(self):
         with pytest.raises(ValueError, match="parameters"):
             prepare_state(AnsatzSpec(2, 1), [0.0, 0.0])
@@ -114,6 +133,45 @@ class TestExactDistribution:
         for _ in range(20):
             state = prepare_state(spec, rng.random(spec.parameter_count) * 2 * np.pi)
             assert sum(exact_distribution(state).values()) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestBasisWeights:
+    @pytest.fixture()
+    def weights(self):
+        # Indices 1, 2, 6 at m = 3 are "100", "010", "011".
+        return BasisWeights(np.array([1, 2, 6]), np.array([0.25, 0.5, 0.25]), 3)
+
+    def test_equals_the_equivalent_dict(self, weights):
+        assert weights == {"100": 0.25, "010": 0.5, "011": 0.25}
+        assert weights != {"100": 0.25, "010": 0.5}
+        assert weights != {"100": 0.25, "010": 0.5, "011": 0.5}
+
+    def test_iterates_in_ascending_index_order(self, weights):
+        assert list(weights) == ["100", "010", "011"]
+        assert list(weights.items()) == [("100", 0.25), ("010", 0.5), ("011", 0.25)]
+        assert list(weights.values()) == [0.25, 0.5, 0.25]
+
+    def test_lookup(self, weights):
+        assert weights["010"] == 0.5
+        assert weights.get("011") == 0.25
+        assert weights.get("000") is None
+        assert weights.get("01", 0) == 0
+        assert "111" not in weights and "01a" not in weights
+        with pytest.raises(KeyError):
+            weights["110"]
+
+    def test_len_builds_no_bitstrings(self, weights, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("bitstring built")
+
+        monkeypatch.setattr(quantum, "index_to_bitstring", forbidden)
+        assert len(weights) == 3
+
+    def test_counts_keep_integer_values(self):
+        state = prepare_state(AnsatzSpec(2, 0), [np.pi / 2, np.pi / 2])
+        counts = sample(state, 100, np.random.default_rng(4)).counts
+        assert all(type(v) is int for v in counts.values())
+        assert sum(counts.values()) == 100
 
 
 class TestSample:
@@ -195,9 +253,43 @@ class TestEstimateEnergy:
         assert best == "010"
         assert e_exp == best_energy == 0.0
 
+    def test_tie_breaks_lexicographically_not_by_index(self):
+        # Index 1 is "100" and index 2 is "010": index order and
+        # lexicographic order disagree, and the bitstring order wins.
+        weights = BasisWeights(np.array([1, 2]), np.array([0.5, 0.5]), 3)
+        e_exp, (best, best_energy) = estimate_energy(weights, zero_qubo(3))
+        assert best == "010"
+        assert e_exp == best_energy == 0.0
+
+    def test_index_weights_match_string_weights(self, triangle_qubo):
+        by_index = BasisWeights(np.array([0, 11, 15]), np.array([0.5, 0.25, 0.25]), 4)
+        by_string = {"0000": 0.5, "1101": 0.25, "1111": 0.25}
+        assert estimate_energy(by_index, triangle_qubo) == estimate_energy(by_string, triangle_qubo)
+
+    @pytest.mark.parametrize("key", ["11a1", "1 01", "11_1", "110", (1, 1, 0, 1)])
+    def test_malformed_key_named(self, triangle_qubo, key):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            estimate_energy({key: 1.0}, triangle_qubo)
+
+    def test_zero_weight_key_never_best(self, triangle_qubo):
+        e_exp, (best, best_energy) = estimate_energy({"1101": 0.0, "0000": 1.0}, triangle_qubo)
+        assert (best, best_energy) == ("0000", 10.0)
+        assert e_exp == 10.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_weight_named(self, triangle_qubo, bad):
+        with pytest.raises(ValueError, match="'0000'"):
+            estimate_energy({"1101": 1.0, "0000": bad}, triangle_qubo)
+
+    def test_all_zero_weights_rejected(self, triangle_qubo):
+        with pytest.raises(ValueError, match="positive total"):
+            estimate_energy({"1101": 0.0, "0000": 0.0}, triangle_qubo)
+
     def test_dimension_mismatch(self, triangle_qubo):
         with pytest.raises(ValueError, match="dimension"):
             estimate_energy({"11": 1.0}, triangle_qubo)
+        with pytest.raises(ValueError, match="dimension"):
+            estimate_energy(BasisWeights(np.array([1]), np.array([1.0]), 3), triangle_qubo)
 
     def test_empty_weights(self, triangle_qubo):
         with pytest.raises(ValueError, match="no weighted"):
