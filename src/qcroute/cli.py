@@ -144,9 +144,20 @@ def _sweep_jobs(args) -> int:
     return int(text)
 
 
+def _parse_kappas(text: str) -> list[float]:
+    """The comma-separated ``--kappas`` list; an empty or non-numeric entry is an error."""
+    kappas = []
+    for entry in text.split(","):
+        try:
+            kappas.append(float(entry))
+        except ValueError:
+            raise ValueError(f"--kappas entry {entry!r} is not a number") from None
+    return kappas
+
+
 def cmd_sweep(args) -> int:
     instance = _load_instance(args.path)
-    kappas = [float(k) for k in args.kappas.split(",") if k]
+    kappas = _parse_kappas(args.kappas)
     config = _solver_config(args)
     jobs = _sweep_jobs(args)
 
@@ -240,3 +251,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

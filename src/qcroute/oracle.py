@@ -153,13 +153,16 @@ def brute_force_min(q: CableQubo, instance: Instance | None = None) -> OracleSol
     if q.dim > BLOCK_DIM_CAP:
         raise ValueError(f"dimension {q.dim} exceeds brute-force cap {BLOCK_DIM_CAP}")
     shifts = np.arange(q.dim - 1, -1, -1, dtype=np.uint32)  # bit i of z = bit (dim-1-i) of the counter
+    # Chunks of 2^16 counters: the low counter bits (the last columns) repeat
+    # in every chunk, so the matrix is built once and only the ``high``
+    # leading columns, constant within a chunk, are refilled from its base.
+    low_bits = min(q.dim, 16)
+    rows, high = 1 << low_bits, q.dim - low_bits
+    bits = ((np.arange(rows, dtype=np.uint32)[:, None] >> shifts[None, :]) & 1).astype(np.float64)
     best_energy = np.inf
     best_index = 0
-    chunk = 1 << 16
-    for lo in range(0, 1 << q.dim, chunk):
-        hi = min(lo + chunk, 1 << q.dim)
-        counters = np.arange(lo, hi, dtype=np.uint32)
-        bits = ((counters[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+    for lo in range(0, 1 << q.dim, rows):
+        bits[:, :high] = (lo >> shifts[:high]) & 1
         energies = block_energies(q, bits)
         arg = int(np.argmin(energies))
         if energies[arg] < best_energy:

@@ -8,6 +8,16 @@ operator is diagonal in the computational basis, so states are held as real
 float64 vectors.  Measurement results are keyed by basis index inside; the
 '0'/'1' bitstring form is built only where a caller reads it.
 
+State preparation forms exactly the floats of the gate-by-gate circuit with
+few passes over memory.  The first rotation layer and the first CNOT chain
+are one product state built by doubling (the chain only permutes amplitudes,
+so it picks each qubit's cos or sin factor).  Each later rotation is four
+in-place numpy calls with one reused scratch buffer, ``a0*c + a1*(-s)`` and
+``a1*c + a0*s``, which equal ``c*a0 - s*a1`` and ``s*a0 + c*a1`` bit for bit.
+The low half of the qubits, whose amplitude pairs lie close together, is
+rotated while the state is held transposed, so that every rotation walks
+long contiguous runs.
+
 Bit-ordering convention, fixed everywhere: variable i of the QUBO block is
 qubit i is the i-th character of a bitstring, and qubit i is bit i of the flat
 statevector index (index = sum_i z_i * 2^i).
@@ -116,15 +126,32 @@ def bitstring_to_index(bits: str) -> int:
     return int(bits[::-1], 2)
 
 
-def _apply_ry(amps: np.ndarray, num_qubits: int, qubit: int, angle: float) -> None:
-    # Pairs indices differing in bit `qubit`: stride 2^qubit.
-    view = amps.reshape(1 << (num_qubits - qubit - 1), 2, 1 << qubit)
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = c * a0 - s * a1
-    view[:, 1, :] = s * a0 + c * a1
+_TRANSPOSE_ROWS = 32  # source rows per copy in _transpose
+
+
+def _transpose(src: np.ndarray, dst: np.ndarray) -> None:
+    """``dst[...] = src.T`` for 2-D arrays, in bands of source rows.
+
+    One transposed copy of a large state walks the strided side across the
+    whole array; bands of rows keep both sides of each copy in cache.  A
+    copy, so exact in any order.
+    """
+    for row in range(0, src.shape[0], _TRANSPOSE_ROWS):
+        np.copyto(dst[:, row:row + _TRANSPOSE_ROWS], src[row:row + _TRANSPOSE_ROWS].T)
+
+
+def _rotate(view: np.ndarray, scratch: np.ndarray, c: float, s: float) -> None:
+    """RY in place on the pairs ``view[:, 0, :]``, ``view[:, 1, :]``.
+
+    ``scratch`` has the shape of ``view``; ``c`` and ``s`` are the cosine and
+    sine of half the angle.  Forms ``a0*c + a1*(-s)`` and ``a1*c + a0*s``,
+    the same IEEE results as ``c*a0 - s*a1`` and ``s*a0 + c*a1``: negation
+    is exact, ``x + (-y)`` is ``x - y``, and products and sums commute.
+    """
+    np.multiply(view[:, 1, :], -s, out=scratch[:, 0, :])
+    np.multiply(view[:, 0, :], s, out=scratch[:, 1, :])
+    view *= c
+    view += scratch
 
 
 def _cnot_chain(amps: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -138,11 +165,71 @@ def _cnot_chain(amps: np.ndarray, num_qubits: int) -> np.ndarray:
     return amps[source]
 
 
+def _first_layer(cos: np.ndarray, sin: np.ndarray, entangle: bool) -> np.ndarray:
+    """The first RY layer on |0...0>, then the CNOT chain if ``entangle``.
+
+    Built by doubling in qubit order: amplitude y is the product, left to
+    right over q, of ``(cos, sin)[y_q]`` of qubit q, the same products the
+    gate-by-gate update forms.  The chain only permutes amplitudes, by its
+    inverse ``y -> y ^ (y << 1)``, so after it the factor of qubit q is
+    ``(cos, sin)[y_q ^ y_(q-1)]``: the lower half of the filled prefix
+    (bit q-1 clear) takes (cos, sin) and its upper half (sin, cos).  Four
+    in-place multiplies per qubit, with no index array and no gather.
+    """
+    amps = np.empty(1 << len(cos))
+    amps[0] = 1.0
+    for qubit, (c, s) in enumerate(zip(cos, sin)):
+        half = 1 << qubit
+        if qubit == 0 or not entangle:
+            np.multiply(amps[:half], s, out=amps[half:2 * half])
+            amps[:half] *= c
+        else:
+            quarter = half >> 1
+            np.multiply(amps[:quarter], s, out=amps[half:half + quarter])
+            np.multiply(amps[quarter:half], c, out=amps[half + quarter:2 * half])
+            amps[:quarter] *= c
+            amps[quarter:half] *= s
+    return amps
+
+
+def _rotation_layer(
+    amps: np.ndarray, scratch: np.ndarray, num_qubits: int, cos: np.ndarray, sin: np.ndarray
+) -> None:
+    """RY on every qubit, qubit 0 first, in place on ``amps``.
+
+    Qubit q pairs amplitudes ``2^q`` apart, so below ``h = m // 2`` the pair
+    slices are short and strided and numpy walks them slowly.  Those qubits
+    are rotated while the state is held transposed as ``(2^h, 2^(m-h))`` in
+    ``scratch``, where qubit q sits at bit ``m - h + q``; after one transpose
+    back, qubits ``h..m-1`` are rotated in place.  Every amplitude still sees
+    qubits 0..m-1 in order, so the floats are those of the plain update.
+    """
+    m = num_qubits
+    h = m // 2
+    low, high = 1 << h, 1 << (m - h)
+    _transpose(amps.reshape(high, low), scratch.reshape(low, high))
+    for qubit in range(h):
+        shape = (1 << (h - qubit - 1), 2, 1 << (m - h + qubit))
+        _rotate(scratch.reshape(shape), amps.reshape(shape), cos[qubit], sin[qubit])
+    _transpose(scratch.reshape(low, high), amps.reshape(high, low))
+    for qubit in range(h, m):
+        shape = (1 << (m - qubit - 1), 2, 1 << qubit)
+        _rotate(amps.reshape(shape), scratch.reshape(shape), cos[qubit], sin[qubit])
+
+
 def prepare_state(spec: AnsatzSpec, theta) -> Statevector:
     """Run the ansatz on |0...0> with the given rotation angles.
 
     Parameter order is layer by layer, qubit 0..m-1 within each layer;
     ``spec.parameter_count`` angles in total.
+
+    The first rotation layer and the first CNOT chain are built together as
+    a product state (``_first_layer``).  Each later rotation layer works in
+    place with one state-sized scratch buffer (``_rotation_layer``: the
+    rotation identity of ``_rotate``, the low qubits in one transposed
+    pass), and only chains from the second on take the ``_cnot_chain``
+    gather.  The amplitudes are byte-identical to applying the gates one at
+    a time.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (spec.parameter_count,):
@@ -150,20 +237,16 @@ def prepare_state(spec: AnsatzSpec, theta) -> Statevector:
             f"expected {spec.parameter_count} parameters, got {theta.shape}"
         )
     m = spec.num_qubits
-    # The first rotation layer acts on |0...0>, so it builds a product state:
-    # qubit q maps the filled prefix a to (cos * a, sin * a), the same
-    # products the gate-by-gate update forms.  Filled in place, with no
-    # temporary state-sized arrays.
-    amps = np.empty(1 << m)
-    amps[0] = 1.0
-    for qubit, angle in enumerate(theta[:m]):
-        half = 1 << qubit
-        np.multiply(amps[:half], np.sin(angle / 2.0), out=amps[half:2 * half])
-        amps[:half] *= np.cos(angle / 2.0)
-    for layer in range(1, spec.reps + 1):
-        amps = _cnot_chain(amps, m)
-        for qubit in range(m):
-            _apply_ry(amps, m, qubit, theta[layer * m + qubit])
+    half_angles = theta / 2.0
+    cos, sin = np.cos(half_angles), np.sin(half_angles)  # elementwise, as per-angle calls
+    amps = _first_layer(cos[:m], sin[:m], entangle=spec.reps > 0)
+    if spec.reps:
+        scratch = np.empty_like(amps)
+        for layer in range(1, spec.reps + 1):
+            if layer > 1:
+                amps = _cnot_chain(amps, m)
+            angles = slice(layer * m, (layer + 1) * m)
+            _rotation_layer(amps, scratch, m, cos[angles], sin[angles])
     return Statevector(amps)
 
 

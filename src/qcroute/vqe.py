@@ -58,6 +58,8 @@ class VqeConfig:
             raise ValueError("shots must be nonnegative (0 = exact distribution)")
         if self.maxiter < 1:
             raise ValueError("maxiter must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.ftol <= 0:
             raise ValueError("ftol must be positive")
         if self.theta_init not in ("uniform", "zeros"):

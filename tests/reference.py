@@ -138,3 +138,35 @@ def cnot_chain_by_swaps(amps, num_qubits):
         high = low | (1 << target)
         amps[low], amps[high] = amps[high].copy(), amps[low].copy()
     return amps
+
+
+def parent_prepare_state(num_qubits, reps, theta):
+    """The ansatz gate by gate, frozen from the kernel's earlier form.
+
+    The first rotation layer is filled as a product state, each CNOT chain
+    is one gather ``amps[y ^ ((y << 1) & mask)]``, and each rotation copies
+    ``a0`` and forms ``c*a0 - s*a1`` and ``s*a0 + c*a1``.  The library kernel
+    must give exactly these bytes.
+    """
+    m = num_qubits
+    theta = np.asarray(theta, dtype=np.float64)
+    amps = np.empty(1 << m)
+    amps[0] = 1.0
+    for qubit, angle in enumerate(theta[:m]):
+        half = 1 << qubit
+        np.multiply(amps[:half], np.sin(angle / 2.0), out=amps[half:2 * half])
+        amps[:half] *= np.cos(angle / 2.0)
+    source = np.arange(1 << m)
+    source ^= (source << 1) & ((1 << m) - 1)
+    for layer in range(1, reps + 1):
+        amps = amps[source]
+        for qubit in range(m):
+            angle = theta[layer * m + qubit]
+            view = amps.reshape(1 << (m - qubit - 1), 2, 1 << qubit)
+            c = np.cos(angle / 2.0)
+            s = np.sin(angle / 2.0)
+            a0 = view[:, 0, :].copy()
+            a1 = view[:, 1, :]
+            view[:, 0, :] = c * a0 - s * a1
+            view[:, 1, :] = s * a0 + c * a1
+    return amps

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcroute
 from qcroute import VqeConfig, qubo_energy, build_cable_qubo, default_penalties, parse_instance, solve_decomposed
 from qcroute.cli import main
 from qcroute.metrics import CSV_HEADER
@@ -218,6 +223,22 @@ class TestSweepAndReport:
         assert main(self.SMALL_SWEEP + ["--jobs", jobs, "--out", str(tmp_path / "r.csv")]) == 2
         assert "jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kappas, entry", [("1,,2", "''"), ("1,2,", "''"), ("abc", "'abc'")])
+    def test_malformed_kappas_exit_2(self, kappas, entry, tmp_path, capsys):
+        args = ["sweep", "layout-1", "--kappas", kappas, "--seeds", "1", "--shots", "50", "--maxiter", "8"]
+        assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert "--kappas" in captured.err and entry in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", [SMALL_SWEEP, ["solve", "layout-1", "--maxiter", "8"]])
+    def test_negative_seed_exit_2(self, command, capsys):
+        assert main(command + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be nonnegative" in captured.err
+        assert captured.out == ""
+
     def test_default_grid_matches_benchmark_shape(self):
         from qcroute.cli import _build_parser
 
@@ -226,3 +247,16 @@ class TestSweepAndReport:
         assert kappas == [0.25, 0.5, 1.0, 2.0, 4.0]
         assert args.seeds == 30
         assert 4 * len(kappas) * args.seeds == 600
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["qcroute", "qcroute.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        src = str(Path(qcroute.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "validate", "layout-1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "cables=4 segments=7 nodes=6 qubits_per_cable=11\n"

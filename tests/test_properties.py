@@ -1,0 +1,84 @@
+"""Property checks of the oracles and energy forms on random small layouts.
+
+Each example is a 2-edge-connected layout (a ring through every node plus
+random chords) whose cable block has at most 10 variables, so every check
+can enumerate all assignments.  Examples are derandomized, so the suite
+stays deterministic.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcroute import brute_force_min, ising_energy, parse_instance, qubo_energy, shortest_path_opt, to_ising
+from qcroute.qubo import spins_from_bits
+from qcroute.vqe import cable_block
+from reference import reference_energy
+
+MAX_VARIABLES = 10
+
+checks = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def ring_layouts(draw):
+    """A layout with one cable whose block has at most MAX_VARIABLES variables."""
+    n = draw(st.integers(3, 6))
+    order = draw(st.permutations(range(n)))
+    ring = sorted({tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)})
+    chords = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in ring]
+    # Block dimension = segments + internal nodes = segments + n - 2.
+    room = min(len(chords), MAX_VARIABLES + 2 - 2 * n)
+    pairs = ring + (draw(st.lists(st.sampled_from(chords), unique=True, max_size=room)) if room > 0 else [])
+    lengths = draw(st.lists(st.integers(1, 30), min_size=len(pairs), max_size=len(pairs)))
+    source, terminal = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    doc = {
+        "name": "ring",
+        "nodes": [{"id": f"v{i}"} for i in range(n)],
+        "segments": [
+            {"id": f"e{k}", "u": f"v{a}", "v": f"v{b}", "length": length / 10}
+            for k, ((a, b), length) in enumerate(zip(pairs, lengths))
+        ],
+        "cables": [{"id": "c1", "source": f"v{source}", "terminal": f"v{terminal}",
+                    "alpha": draw(st.sampled_from([1.0, 1.5, 2.0]))}],
+    }
+    instance = parse_instance(json.dumps(doc))
+    assert instance.block_dim(instance.cables[0]) <= MAX_VARIABLES
+    return instance
+
+
+def all_bitstrings(dim):
+    return [format(u, f"0{dim}b") for u in range(1 << dim)]
+
+
+@checks
+@given(instance=ring_layouts(), kappa=st.sampled_from([1.0, 1.5, 2.0, 4.0]))
+def test_brute_force_equals_shortest_path_at_kappa_one_and_above(instance, kappa):
+    cable = instance.cables[0]
+    lowest = brute_force_min(cable_block(instance, cable, kappa), instance)
+    shortest = shortest_path_opt(instance, cable)
+    assert lowest.route, "the block minimum is not a single path"
+    assert lowest.objective == pytest.approx(shortest.objective, rel=1e-12, abs=1e-12)
+    assert lowest.energy == pytest.approx(shortest.objective, rel=1e-12, abs=1e-12)
+
+
+@checks
+@given(instance=ring_layouts(), kappa=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]))
+def test_qubo_energy_equals_literal_penalty_energy(instance, kappa):
+    cable = instance.cables[0]
+    block = cable_block(instance, cable, kappa)
+    for z in all_bitstrings(block.dim):
+        expected = reference_energy(instance, cable, block.penalties, z)
+        assert qubo_energy(block, z) == pytest.approx(expected, rel=1e-12, abs=1e-9), z
+
+
+@checks
+@given(instance=ring_layouts(), kappa=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]))
+def test_ising_energy_equals_qubo_energy(instance, kappa):
+    block = cable_block(instance, instance.cables[0], kappa)
+    model = to_ising(block)
+    for z in all_bitstrings(block.dim):
+        spins = spins_from_bits(z, block.dim)
+        assert ising_energy(model, spins) == pytest.approx(qubo_energy(block, z), rel=1e-12, abs=1e-9), z

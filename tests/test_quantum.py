@@ -20,7 +20,7 @@ from qcroute import (
 from qcroute import quantum
 from qcroute.quantum import _cnot_chain, bitstring_to_index, index_to_bitstring
 from test_oracle import zero_qubo
-from reference import cnot_chain_by_swaps, reference_ansatz, reference_energy
+from reference import cnot_chain_by_swaps, parent_prepare_state, reference_ansatz, reference_energy
 
 
 class TestAnsatzSpec:
@@ -85,6 +85,25 @@ class TestPrepareState:
             state = prepare_state(spec, theta)
             assert state.amplitudes.dtype == np.float64
             assert np.allclose(state.amplitudes, reference_ansatz(m, reps, theta), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("reps", range(4))
+    @pytest.mark.parametrize("m", [*range(1, 15), 16])
+    def test_bytes_equal_gate_by_gate_kernel(self, m, reps):
+        spec = AnsatzSpec(m, reps)
+        n = spec.parameter_count
+        rng = np.random.default_rng(1000 * m + reps)
+        angle_sets = [
+            rng.uniform(-2 * np.pi, 2 * np.pi, n),
+            rng.uniform(-2 * np.pi, 2 * np.pi, n),
+            np.zeros(n),
+            np.full(n, np.pi),
+            np.full(n, -np.pi),
+            rng.choice([-np.pi, 0.0, np.pi], n),
+        ]
+        for theta in angle_sets:
+            amps = prepare_state(spec, theta).amplitudes
+            assert amps.dtype == np.float64 and amps.shape == (1 << m,) and amps.flags.c_contiguous
+            assert amps.tobytes() == parent_prepare_state(m, reps, theta).tobytes()
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_cnot_gather_equals_gate_by_gate_swaps(self, m):
