@@ -11,6 +11,7 @@ The instance path argument also accepts the bundled layout names
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -160,6 +161,9 @@ def cmd_sweep(args) -> int:
     kappas = _parse_kappas(args.kappas)
     config = _solver_config(args)
     jobs = _sweep_jobs(args)
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):  # fail before the grid runs, not after
+        raise FileNotFoundError(errno.ENOENT, "output directory does not exist", out_dir)
 
     def progress(kappa: float, seed: int) -> None:
         print(f"sweep kappa={_fmt(kappa)} seed={seed} done", file=sys.stderr)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -243,8 +244,22 @@ def records_to_csv(records: Iterable[RunRecord]) -> str:
     return out.getvalue()
 
 
+def _csv_float(text: str, lineno: int, field: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {field} {text!r} is not a number") from None
+    if not math.isfinite(x):
+        raise ValueError(f"line {lineno}: {field} must be finite, got {text!r}")
+    return x
+
+
 def records_from_csv(text: str) -> list[RunRecord]:
-    """Parse a results CSV; raises ValueError on any schema mismatch."""
+    """Parse a results CSV; raises ValueError naming the line and field.
+
+    Besides schema mismatches it rejects a non-finite number, a kappa <= 0,
+    a negative seed and a feasible row with no objective.
+    """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != CSV_HEADER.split(","):
         raise ValueError(f"results CSV must start with header {CSV_HEADER!r}")
@@ -255,22 +270,30 @@ def records_from_csv(text: str) -> list[RunRecord]:
         layout, cable_id, kappa, seed, feasible, energy, objective, oracle_objective, gap = row
         if feasible not in ("true", "false"):
             raise ValueError(f"line {lineno}: feasible must be true/false, got {feasible!r}")
+        if feasible == "true" and not objective:
+            raise ValueError(f"line {lineno}: a feasible row needs an objective")
+        kappa_value = _csv_float(kappa, lineno, "kappa")
+        if kappa_value <= 0.0:
+            raise ValueError(f"line {lineno}: kappa must be positive, got {kappa!r}")
         try:
-            records.append(
-                RunRecord(
-                    layout=layout,
-                    cable_id=cable_id,
-                    kappa=float(kappa),
-                    seed=int(seed),
-                    feasible=feasible == "true",
-                    energy=float(energy),
-                    objective=float(objective) if objective else None,
-                    oracle_objective=float(oracle_objective),
-                    opt_gap=float(gap) if gap else None,
-                )
+            seed_value = int(seed)
+        except ValueError:
+            raise ValueError(f"line {lineno}: seed {seed!r} is not an integer") from None
+        if seed_value < 0:
+            raise ValueError(f"line {lineno}: seed must be nonnegative, got {seed!r}")
+        records.append(
+            RunRecord(
+                layout=layout,
+                cable_id=cable_id,
+                kappa=kappa_value,
+                seed=seed_value,
+                feasible=feasible == "true",
+                energy=_csv_float(energy, lineno, "energy"),
+                objective=_csv_float(objective, lineno, "objective") if objective else None,
+                oracle_objective=_csv_float(oracle_objective, lineno, "oracle_objective"),
+                opt_gap=_csv_float(gap, lineno, "opt_gap") if gap else None,
             )
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+        )
     return records
 
 

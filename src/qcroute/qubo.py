@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +40,7 @@ __all__ = [
     "qubo_document",
     "ising_document",
     "bits_to_array",
+    "basis_bits",
     "block_energies",
     "BLOCK_DIM_CAP",
 ]
@@ -102,6 +105,19 @@ class CableQubo:
     vmap: VariableMap
     penalties: PenaltyWeights
     cable_id: str
+
+    @cached_property
+    def energy_table(self) -> np.ndarray:
+        """Energies of all 2^dim basis states, indexed by basis index.
+
+        Entry y is the energy of the bitstring whose variable i is bit i of
+        y: ``block_energies`` of the full bit matrix in ascending index
+        order.  Built on first use and kept for the block's lifetime;
+        read-only.
+        """
+        table = block_energies(self, basis_bits(range(self.dim), self.dim))
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,6 +279,21 @@ def build_cable_qubo(instance: Instance, cable: Cable, penalties: PenaltyWeights
         penalties=penalties,
         cable_id=cable.id,
     )
+
+
+def basis_bits(columns: Sequence[int], width: int) -> np.ndarray:
+    """The (2^k, width) 0/1 float matrix holding bit j of row r in ``columns[j]``.
+
+    k is ``len(columns)``; the other columns are 0.  Built by doubling:
+    rows ``[0, 2^j)`` are copied to ``[2^j, 2^(j+1))`` and column
+    ``columns[j]`` of the copy is set to 1, so no integer matrix is formed.
+    """
+    bits = np.zeros((1 << len(columns), width))
+    for j, column in enumerate(columns):
+        half = 1 << j
+        bits[half:2 * half] = bits[:half]
+        bits[half:2 * half, column] = 1.0
+    return bits
 
 
 def block_energies(q: CableQubo, bits: np.ndarray) -> np.ndarray:

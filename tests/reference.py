@@ -170,3 +170,49 @@ def parent_prepare_state(num_qubits, reps, theta):
             view[:, 0, :] = c * a0 - s * a1
             view[:, 1, :] = s * a0 + c * a1
     return amps
+
+
+def parent_estimate_energy(weights, q):
+    """``estimate_energy`` frozen from its form before the per-block table.
+
+    The energies of exactly the nonzero-weight indices, in their own order,
+    from one shifted int64 bit matrix per call.  Takes a ``BasisWeights`` or
+    a string-keyed mapping of valid bitstrings; returns (e_exp, (best key,
+    its energy)) as the library does.
+    """
+    m = q.dim
+    if hasattr(weights, "indices"):
+        idx = weights.indices
+        w = np.asarray(weights.weights, dtype=np.float64)
+    else:
+        keys = list(weights)
+        idx = np.array([int(key[::-1], 2) for key in keys], dtype=np.int64)
+        w = np.array([float(weights[key]) for key in keys])
+    nonzero = w > 0.0
+    idx, w = idx[nonzero], w[nonzero]
+    bits = ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64)
+    energies = ((bits @ q.q) * bits).sum(axis=1) + q.offset
+    e_exp = float((w @ energies) / w.sum())
+    min_energy = energies.min()
+    keys = ["".join("1" if (i >> b) & 1 else "0" for b in range(m)) for i in idx[energies == min_energy].tolist()]
+    return e_exp, (min(keys), float(min_energy))
+
+
+def parent_brute_force_min(q):
+    """``brute_force_min`` frozen from its uint32 shift-matrix form.
+
+    Same chunks of 2^16 counters in lexicographic order and the same
+    first-strict-minimum rule; returns (bitstring, energy).
+    """
+    shifts = np.arange(q.dim - 1, -1, -1, dtype=np.uint32)
+    low_bits = min(q.dim, 16)
+    rows, high = 1 << low_bits, q.dim - low_bits
+    bits = ((np.arange(rows, dtype=np.uint32)[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+    best_energy, best_index = np.inf, 0
+    for lo in range(0, 1 << q.dim, rows):
+        bits[:, :high] = (lo >> shifts[:high]) & 1
+        energies = ((bits @ q.q) * bits).sum(axis=1) + q.offset
+        arg = int(np.argmin(energies))
+        if energies[arg] < best_energy:
+            best_energy, best_index = float(energies[arg]), lo + arg
+    return format(best_index, f"0{q.dim}b"), best_energy

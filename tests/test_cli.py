@@ -204,6 +204,37 @@ class TestSweepAndReport:
         path.write_text("who,what\n1,2\n", encoding="utf-8")
         assert main(["report", str(path)]) == 2
 
+    GOOD_ROW = "layout-1,c1,1,0,true,10,10,10,0"
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("layout-1,c1,nan,1,true,10,10,10,0", "kappa"),  # non-finite
+            ("layout-1,c1,1,1,true,inf,10,10,0", "energy"),
+            ("layout-1,c1,1,1,false,10,,-inf,", "oracle_objective"),
+            ("layout-1,c1,0,1,true,10,10,10,0", "kappa"),  # not positive
+            ("layout-1,c1,-2,1,true,10,10,10,0", "kappa"),
+            ("layout-1,c1,1,-4,true,10,10,10,0", "seed"),  # negative
+            ("layout-1,c1,1,1,true,10,,10,", "objective"),  # feasible without one
+        ],
+    )
+    def test_report_rejects_out_of_range_values(self, row, field, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([CSV_HEADER, self.GOOD_ROW, row]) + "\n", encoding="utf-8")
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "line 3" in captured.err and field in captured.err
+        assert captured.out == ""
+
+    def test_missing_output_directory_fails_before_the_grid(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        code = main(["sweep", "layout-1", "--kappas", "1", "--seeds", "3", "--out", str(out),
+                     "--shots", "50", "--maxiter", "8"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "done" not in captured.err and "output directory does not exist" in captured.err
+        assert captured.out == ""
+
     def test_unwritable_output_exit_3(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "results.csv"
         code = main(["sweep", "layout-1", "--kappas", "1", "--seeds", "1",

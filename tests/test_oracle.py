@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -11,13 +12,14 @@ from qcroute import (
     build_cable_qubo,
     check_feasibility,
     default_penalties,
+    parse_instance,
     qubo_energy,
     scale_penalties,
     shortest_path_opt,
 )
 from qcroute.oracle import length_cap_ok, route_bitstring
 from qcroute.qubo import BLOCK_DIM_CAP as BRUTE_FORCE_DIM_CAP
-from reference import min_simple_path_cost, reference_minimum
+from reference import min_simple_path_cost, parent_brute_force_min, reference_minimum
 
 # Classical optima of the bundled layouts, frozen from DFS path enumeration
 # (cross-checked below against both oracles).
@@ -118,6 +120,28 @@ class TestBruteForce:
     def test_dim_cap(self):
         with pytest.raises(ValueError, match="cap"):
             brute_force_min(zero_qubo(BRUTE_FORCE_DIM_CAP + 1))
+
+    def test_equals_parent_shift_matrix_enumeration(self, layout2):
+        # 8 nodes on a ring plus 4 chords: 12 segments + 6 internal nodes, so
+        # the 18-variable block runs four 2^16-row chunks.
+        pairs = [(i, (i + 1) % 8) for i in range(8)] + [(0, 3), (1, 5), (2, 6), (4, 7)]
+        doc = {
+            "name": "ring-18",
+            "nodes": [{"id": f"v{i}"} for i in range(8)],
+            "segments": [
+                {"id": f"e{k}", "u": f"v{a}", "v": f"v{b}", "length": 1.0 + 0.3 * (k % 5)}
+                for k, (a, b) in enumerate(pairs)
+            ],
+            "cables": [{"id": "c1", "source": "v0", "terminal": "v5", "alpha": 1.5}],
+        }
+        ring = parse_instance(json.dumps(doc))
+        blocks = [baseline_qubo(ring, ring.cables[0]), zero_qubo(17)]
+        blocks += [baseline_qubo(layout2, cable, kappa) for cable in layout2.cables for kappa in (0.25, 1.0)]
+        assert blocks[0].dim == 18
+        for q in blocks:
+            solution = brute_force_min(q)
+            parent_bits, parent_energy = parent_brute_force_min(q)
+            assert (solution.bitstring, repr(solution.energy)) == (parent_bits, repr(parent_energy)), q.cable_id
 
     def test_sixteen_variable_block_under_ten_seconds(self, layout2):
         q = baseline_qubo(layout2, layout2.cable("k1"))

@@ -1,9 +1,10 @@
-"""Property checks of the oracles and energy forms on random small layouts.
+"""Property checks of the oracles and energy forms on random small layouts,
+and of the results CSV round trip.
 
-Each example is a 2-edge-connected layout (a ring through every node plus
-random chords) whose cable block has at most 10 variables, so every check
-can enumerate all assignments.  Examples are derandomized, so the suite
-stays deterministic.
+Each layout example is a 2-edge-connected layout (a ring through every node
+plus random chords) whose cable block has at most 10 variables, so every
+check can enumerate all assignments.  Examples are derandomized, so the
+suite stays deterministic.
 """
 
 import json
@@ -12,7 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcroute import brute_force_min, ising_energy, parse_instance, qubo_energy, shortest_path_opt, to_ising
+from qcroute import (
+    RunRecord,
+    brute_force_min,
+    ising_energy,
+    parse_instance,
+    qubo_energy,
+    records_from_csv,
+    records_to_csv,
+    shortest_path_opt,
+    to_ising,
+)
 from qcroute.qubo import spins_from_bits
 from qcroute.vqe import cable_block
 from reference import reference_energy
@@ -82,3 +93,34 @@ def test_ising_energy_equals_qubo_energy(instance, kappa):
     for z in all_bitstrings(block.dim):
         spins = spins_from_bits(z, block.dim)
         assert ising_energy(model, spins) == pytest.approx(qubo_energy(block, z), rel=1e-12, abs=1e-9), z
+
+
+def twelve_digits(x):
+    """Records hold floats rounded to 12 significant digits, as the sweep makes them."""
+    return float(f"{x:.12g}")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False).map(twelve_digits)
+ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6)
+
+
+@st.composite
+def run_records(draw):
+    feasible = draw(st.booleans())
+    return RunRecord(
+        layout=draw(ids),
+        cable_id=draw(ids),
+        kappa=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(twelve_digits)),
+        seed=draw(st.integers(0, 2**63)),
+        feasible=feasible,
+        energy=draw(finite),
+        objective=draw(finite if feasible else st.none() | finite),
+        oracle_objective=draw(finite),
+        opt_gap=draw(st.none() | finite),
+    )
+
+
+@checks
+@given(records=st.lists(run_records(), max_size=5))
+def test_results_csv_round_trip(records):
+    assert records_from_csv(records_to_csv(records)) == records

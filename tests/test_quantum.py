@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import time
@@ -20,7 +21,13 @@ from qcroute import (
 from qcroute import quantum
 from qcroute.quantum import _cnot_chain, bitstring_to_index, index_to_bitstring
 from test_oracle import zero_qubo
-from reference import cnot_chain_by_swaps, parent_prepare_state, reference_ansatz, reference_energy
+from reference import (
+    cnot_chain_by_swaps,
+    parent_estimate_energy,
+    parent_prepare_state,
+    reference_ansatz,
+    reference_energy,
+)
 
 
 class TestAnsatzSpec:
@@ -109,6 +116,14 @@ class TestPrepareState:
     def test_cnot_gather_equals_gate_by_gate_swaps(self, m):
         amps = np.random.default_rng(m).standard_normal(1 << m)
         assert np.array_equal(_cnot_chain(amps, m), cnot_chain_by_swaps(amps, m))
+
+    def test_chain_index_kept_for_the_latest_size_only(self):
+        quantum._chain_source.cache_clear()
+        index = quantum._chain_source(5)
+        assert quantum._chain_source(5) is index
+        assert not index.flags.writeable
+        quantum._chain_source(6)
+        assert quantum._chain_source.cache_info().currsize == 1
 
     def test_parameter_count_mismatch(self):
         with pytest.raises(ValueError, match="parameters"):
@@ -331,3 +346,61 @@ class TestEstimateEnergy:
             counts = sample(state, 1000, np.random.default_rng(100 + trial))
             e_shots, _ = estimate_energy(counts, q)
             assert abs(e_shots - e_exact) <= 5.0 * std_error + 1e-12
+
+
+def random_qubo(m, seed):
+    """A symmetric half-integer block: many exact energy ties."""
+    raw = np.random.default_rng(seed).integers(-4, 5, size=(m, m)) / 2.0
+    return dataclasses.replace(zero_qubo(m), q=(raw + raw.T) / 2.0, offset=1.5)
+
+
+def assert_same_as_parent_formula(weights, q):
+    e_exp, (best, energy) = estimate_energy(weights, q)
+    parent_e_exp, (parent_best, parent_energy) = parent_estimate_energy(weights, q)
+    assert (repr(e_exp), best, repr(energy)) == (repr(parent_e_exp), parent_best, repr(parent_energy))
+
+
+class TestEnergyTablePath:
+    """Full-range index weights read the block's table; the result is the
+    pre-table formula's to the last bit, and every other input bypasses it."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_full_distribution_matches_parent_formula(self, m):
+        q = random_qubo(m, m)
+        theta = np.random.default_rng(100 + m).uniform(-2 * np.pi, 2 * np.pi, 2 * m)
+        dist = exact_distribution(prepare_state(AnsatzSpec(m, 1), theta))
+        assert len(dist) == 1 << m
+        assert_same_as_parent_formula(dist, q)
+        assert "energy_table" in vars(q)
+
+    def test_bundled_blocks_match_parent_formula(self, layout1, layout2):
+        rng = np.random.default_rng(5)
+        for instance in (layout1, layout2):
+            for cable in instance.cables:
+                q = build_cable_qubo(instance, cable, default_penalties(instance, cable))
+                theta = rng.uniform(-2 * np.pi, 2 * np.pi, 2 * q.dim)
+                assert_same_as_parent_formula(exact_distribution(prepare_state(AnsatzSpec(q.dim, 1), theta)), q)
+
+    def test_counts_covering_every_state_match_parent_formula(self):
+        q = random_qubo(3, 3)
+        state = prepare_state(AnsatzSpec(3, 1), np.full(6, 1.0))
+        counts = sample(state, 10_000, np.random.default_rng(0))
+        assert len(counts.counts) == 8
+        assert_same_as_parent_formula(counts.counts, q)
+
+    @pytest.mark.parametrize("reps, theta", [(1, np.zeros(16)), (0, np.array([0.0, 1.0] * 4))])
+    def test_subset_distribution_bypasses_the_table(self, reps, theta):
+        # All-zero angles are what theta_init="zeros" starts from.
+        q = random_qubo(8, 8)
+        dist = exact_distribution(prepare_state(AnsatzSpec(8, reps), theta))
+        assert len(dist) < 1 << 8
+        assert_same_as_parent_formula(dist, q)
+        assert "energy_table" not in vars(q)
+
+    def test_full_string_mapping_bypasses_the_table(self):
+        q = random_qubo(6, 6)
+        dist = exact_distribution(prepare_state(AnsatzSpec(6, 1), np.linspace(0.3, 2.9, 12)))
+        lexicographic = {"".join(bits): dist["".join(bits)] for bits in itertools.product("01", repeat=6)}
+        assert list(lexicographic) != list(dist)
+        assert_same_as_parent_formula(lexicographic, q)
+        assert "energy_table" not in vars(q)

@@ -16,7 +16,7 @@ from qcroute import (
     scale_penalties,
     to_ising,
 )
-from qcroute.qubo import ising_document, qubo_document, spins_from_bits, variable_map
+from qcroute.qubo import basis_bits, block_energies, ising_document, qubo_document, spins_from_bits, variable_map
 from conftest import TRIANGLE_DOC
 from reference import reference_energy
 
@@ -204,6 +204,43 @@ class TestQuboEnergy:
     def test_accepts_int_sequence(self, triangle):
         q = make_qubo(triangle, "c1")
         assert qubo_energy(q, [1, 1, 0, 1]) == 2.0
+
+
+def shifted_bits(m, shifts):
+    """Bit matrix by the shift formula: column i holds bit ``shifts[i]`` of the row."""
+    return ((np.arange(1 << m)[:, None] >> np.asarray(shifts)) & 1).astype(np.float64)
+
+
+class TestBasisBits:
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_equals_the_shift_formula_in_both_column_orders(self, m):
+        assert np.array_equal(basis_bits(range(m), m), shifted_bits(m, range(m)))
+        assert np.array_equal(basis_bits(range(m - 1, -1, -1), m), shifted_bits(m, range(m - 1, -1, -1)))
+
+    def test_unlisted_columns_stay_zero(self):
+        # The brute-force template: 3 counter bits in the last columns of 5.
+        expected = np.zeros((8, 5))
+        expected[:, 2:] = shifted_bits(3, [2, 1, 0])
+        assert np.array_equal(basis_bits([4, 3, 2], 5), expected)
+
+
+class TestEnergyTable:
+    @pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
+    def test_bytes_equal_energies_of_the_shifted_bit_matrix(self, layout1, layout2, kappa):
+        for instance in (layout1, layout2):
+            for cable in instance.cables:
+                q = make_qubo(instance, cable.id, kappa)
+                expected = block_energies(q, shifted_bits(q.dim, range(q.dim)))
+                assert q.energy_table.tobytes() == expected.tobytes()
+
+    def test_built_once_and_read_only(self, triangle):
+        q = make_qubo(triangle, "c1")
+        table = q.energy_table
+        assert q.energy_table is table
+        assert not table.flags.writeable
+        for index in range(1 << q.dim):
+            z = "".join("1" if (index >> i) & 1 else "0" for i in range(q.dim))
+            assert table[index] == reference_energy(triangle, triangle.cables[0], q.penalties, z)
 
 
 class TestAssembleGlobal:
