@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 __all__ = [
     "InstanceError",
@@ -114,26 +113,12 @@ class Instance:
         """Variable count of the cable's QUBO block: segments + internal nodes."""
         return self.num_segments + len(self.internal_nodes(cable))
 
-    @cached_property
-    def _incidence(self) -> dict[str, tuple[int, ...]]:
-        """Node id -> indices of the segments touching it, in segment order."""
-        incidence: dict[str, list[int]] = {n.id: [] for n in self.nodes}
-        for i, s in enumerate(self.segments):
-            for node_id in (s.u, s.v):
-                incidence[node_id].append(i)
-        return {node_id: tuple(segs) for node_id, segs in incidence.items()}
-
 
 def incident_segments(instance: Instance, node_id: str) -> list[int]:
-    """Indices of segments touching ``node_id``, in instance segment order.
-
-    A new list on every call, from a node -> segments map built once per
-    instance.
-    """
-    incidence = instance._incidence
-    if node_id not in incidence:
+    """Indices of segments touching ``node_id``, in instance segment order."""
+    if node_id not in {n.id for n in instance.nodes}:
         raise InstanceError(f"unknown node id {node_id!r}")
-    return list(incidence[node_id])
+    return [i for i, s in enumerate(instance.segments) if node_id in (s.u, s.v)]
 
 
 # --- parsing -----------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Cable, Instance, incident_segments
-from .qubo import BLOCK_DIM_CAP, CableQubo, basis_bits, block_energies, variable_map
+from .qubo import BLOCK_DIM_CAP, CableQubo, _basis_bits, block_energies, variable_map
 
 __all__ = [
     "Violation",
@@ -158,7 +158,7 @@ def brute_force_min(q: CableQubo, instance: Instance | None = None) -> OracleSol
     # within a chunk, are refilled from its base.
     low_bits = min(q.dim, 16)
     rows, high = 1 << low_bits, q.dim - low_bits
-    bits = basis_bits(range(q.dim - 1, high - 1, -1), q.dim)
+    bits = _basis_bits(range(q.dim - 1, high - 1, -1), q.dim)
     high_shifts = np.arange(q.dim - 1, low_bits - 1, -1)
     best_energy = np.inf
     best_index = 0

@@ -26,7 +26,6 @@ statevector index (index = sum_i z_i * 2^i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -155,23 +154,15 @@ def _rotate(view: np.ndarray, scratch: np.ndarray, c: float, s: float) -> None:
     view += scratch
 
 
-@lru_cache(maxsize=1)
-def _chain_source(num_qubits: int) -> np.ndarray:
-    """The read-only gather index of ``_cnot_chain``, kept for the latest m only.
+def _cnot_chain(amps: np.ndarray, num_qubits: int) -> np.ndarray:
+    """CNOT(0,1), CNOT(1,2), ..., CNOT(m-2,m-1) as one gather.
 
     The chain maps basis index x to its prefix XOR (bit j becomes
     x_0 ^ ... ^ x_j), whose inverse is y -> y ^ (y << 1) within m bits.
-    One size is kept so that no 2^m index array outlives its block size.
     """
     source = np.arange(1 << num_qubits)
     source ^= (source << 1) & ((1 << num_qubits) - 1)
-    source.flags.writeable = False
-    return source
-
-
-def _cnot_chain(amps: np.ndarray, num_qubits: int) -> np.ndarray:
-    """CNOT(0,1), CNOT(1,2), ..., CNOT(m-2,m-1) as one gather into a new state."""
-    return amps[_chain_source(num_qubits)]
+    return amps[source]
 
 
 def _first_layer(cos: np.ndarray, sin: np.ndarray, entangle: bool) -> np.ndarray:
@@ -298,16 +289,15 @@ def estimate_energy(
     energy ties resolve to the lexicographically smallest bitstring.
 
     When ``weights`` is a ``BasisWeights`` (or counts over one) whose
-    nonzero-weight indices are all 2^m basis states, as in the usual exact
-    distribution, the energies come from the block's ``energy_table``,
-    built once per block.  Those indices are exactly 0..2^m-1 in order, so
-    the table is the same ``block_energies`` call on the same bit matrix
-    and gives the same floats.  Any other input (weights missing some basis
-    state, such as most samples or a state with a zero amplitude, or a
-    string-keyed mapping) has the energies of its own indices computed per
-    call: looking them up in the table would not be byte-identical,
-    because a few-row ``bits @ Q`` may take another BLAS path than the
-    full matrix.
+    nonzero-weight indices are exactly 0..2^m-1 in ascending order, as in
+    the usual exact distribution, the energies come from the block's
+    ``energy_table``, built once per block: the same ``block_energies``
+    call on the same bit matrix, so the same floats.  Any other input
+    (weights missing some basis state, such as most samples or a state with
+    a zero amplitude, indices in another order, or a string-keyed mapping)
+    has the energies of its own indices computed per call: looking them up
+    in the table would not be byte-identical, because a few-row
+    ``bits @ Q`` may take another BLAS path than the full matrix.
     """
     if isinstance(weights, SampleCounts):
         weights = weights.counts
@@ -334,8 +324,8 @@ def estimate_energy(
     nonzero = w > 0.0
     if not nonzero.all():
         idx, w = idx[nonzero], w[nonzero]
-    if isinstance(weights, BasisWeights) and len(idx) == 1 << m:
-        energies = q.energy_table  # ascending, unique, all 2^m: idx is arange(2^m)
+    if isinstance(weights, BasisWeights) and len(idx) == 1 << m and idx[0] == 0 and (np.diff(idx) == 1).all():
+        energies = q.energy_table  # idx is exactly arange(2^m)
     else:
         energies = block_energies(q, ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64))
     e_exp = float((w @ energies) / w.sum())

@@ -40,7 +40,6 @@ __all__ = [
     "qubo_document",
     "ising_document",
     "bits_to_array",
-    "basis_bits",
     "block_energies",
     "BLOCK_DIM_CAP",
 ]
@@ -115,7 +114,7 @@ class CableQubo:
         order.  Built on first use and kept for the block's lifetime;
         read-only.
         """
-        table = block_energies(self, basis_bits(range(self.dim), self.dim))
+        table = block_energies(self, _basis_bits(range(self.dim), self.dim))
         table.flags.writeable = False
         return table
 
@@ -281,7 +280,7 @@ def build_cable_qubo(instance: Instance, cable: Cable, penalties: PenaltyWeights
     )
 
 
-def basis_bits(columns: Sequence[int], width: int) -> np.ndarray:
+def _basis_bits(columns: Sequence[int], width: int) -> np.ndarray:
     """The (2^k, width) 0/1 float matrix holding bit j of row r in ``columns[j]``.
 
     k is ``len(columns)``; the other columns are 0.  Built by doubling:

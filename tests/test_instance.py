@@ -131,18 +131,6 @@ class TestIncidentSegments:
         assert incident_segments(single_edge, "A") == [0]
         assert single_edge.block_dim(single_edge.cables[0]) == 1
 
-    def test_fresh_list_each_call(self, triangle):
-        first = incident_segments(triangle, "B")
-        first.append(2)
-        second = incident_segments(triangle, "B")
-        assert type(second) is list and second == [0, 1]
-
-    def test_cached_incidence_leaves_equality_and_rendering_alone(self):
-        a, b = parse_instance(TRIANGLE_DOC), parse_instance(TRIANGLE_DOC)
-        incident_segments(a, "A")
-        assert a == b
-        assert render_instance(a) == render_instance(b)
-
     def test_endpoint_symmetry(self):
         for instance in bundled_layouts():
             for i, segment in enumerate(instance.segments):

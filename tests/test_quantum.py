@@ -117,14 +117,6 @@ class TestPrepareState:
         amps = np.random.default_rng(m).standard_normal(1 << m)
         assert np.array_equal(_cnot_chain(amps, m), cnot_chain_by_swaps(amps, m))
 
-    def test_chain_index_kept_for_the_latest_size_only(self):
-        quantum._chain_source.cache_clear()
-        index = quantum._chain_source(5)
-        assert quantum._chain_source(5) is index
-        assert not index.flags.writeable
-        quantum._chain_source(6)
-        assert quantum._chain_source.cache_info().currsize == 1
-
     def test_parameter_count_mismatch(self):
         with pytest.raises(ValueError, match="parameters"):
             prepare_state(AnsatzSpec(2, 1), [0.0, 0.0])
@@ -395,6 +387,17 @@ class TestEnergyTablePath:
         dist = exact_distribution(prepare_state(AnsatzSpec(8, reps), theta))
         assert len(dist) < 1 << 8
         assert_same_as_parent_formula(dist, q)
+        assert "energy_table" not in vars(q)
+
+    def test_full_index_weights_out_of_order_bypass_the_table(self):
+        q = random_qubo(5, 5)
+        dist = exact_distribution(prepare_state(AnsatzSpec(5, 1), np.linspace(0.2, 2.7, 10)))
+        order = np.random.default_rng(1).permutation(32)
+        shuffled = quantum.BasisWeights(dist.indices[order], dist.weights[order], 5)
+        duplicated = quantum.BasisWeights(np.sort(np.r_[0, dist.indices[:-1]]), dist.weights, 5)
+        for weights in (shuffled, duplicated):
+            assert len(weights.indices) == 32
+            assert_same_as_parent_formula(weights, q)
         assert "energy_table" not in vars(q)
 
     def test_full_string_mapping_bypasses_the_table(self):

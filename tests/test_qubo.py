@@ -16,7 +16,7 @@ from qcroute import (
     scale_penalties,
     to_ising,
 )
-from qcroute.qubo import basis_bits, block_energies, ising_document, qubo_document, spins_from_bits, variable_map
+from qcroute.qubo import _basis_bits, block_energies, ising_document, qubo_document, spins_from_bits, variable_map
 from conftest import TRIANGLE_DOC
 from reference import reference_energy
 
@@ -214,14 +214,14 @@ def shifted_bits(m, shifts):
 class TestBasisBits:
     @pytest.mark.parametrize("m", range(1, 17))
     def test_equals_the_shift_formula_in_both_column_orders(self, m):
-        assert np.array_equal(basis_bits(range(m), m), shifted_bits(m, range(m)))
-        assert np.array_equal(basis_bits(range(m - 1, -1, -1), m), shifted_bits(m, range(m - 1, -1, -1)))
+        assert np.array_equal(_basis_bits(range(m), m), shifted_bits(m, range(m)))
+        assert np.array_equal(_basis_bits(range(m - 1, -1, -1), m), shifted_bits(m, range(m - 1, -1, -1)))
 
     def test_unlisted_columns_stay_zero(self):
         # The brute-force template: 3 counter bits in the last columns of 5.
         expected = np.zeros((8, 5))
         expected[:, 2:] = shifted_bits(3, [2, 1, 0])
-        assert np.array_equal(basis_bits([4, 3, 2], 5), expected)
+        assert np.array_equal(_basis_bits([4, 3, 2], 5), expected)
 
 
 class TestEnergyTable:
