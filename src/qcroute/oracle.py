@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Cable, Instance, incident_segments
-from .qubo import BLOCK_DIM_CAP, CableQubo, _basis_bits, block_energies, variable_map
+from .qubo import BLOCK_DIM_CAP, CableQubo, _basis_chunks, block_energies, variable_map
 
 __all__ = [
     "Violation",
@@ -152,23 +152,16 @@ def brute_force_min(q: CableQubo, instance: Instance | None = None) -> OracleSol
     """
     if q.dim > BLOCK_DIM_CAP:
         raise ValueError(f"dimension {q.dim} exceeds brute-force cap {BLOCK_DIM_CAP}")
-    # Bit i of z is bit (dim-1-i) of the counter.  Chunks of 2^16 counters:
-    # the low counter bits (the last columns) repeat in every chunk, so the
-    # matrix is built once and only the ``high`` leading columns, constant
-    # within a chunk, are refilled from its base.
-    low_bits = min(q.dim, 16)
-    rows, high = 1 << low_bits, q.dim - low_bits
-    bits = _basis_bits(range(q.dim - 1, high - 1, -1), q.dim)
-    high_shifts = np.arange(q.dim - 1, low_bits - 1, -1)
+    # Bit i of z is bit (dim-1-i) of the counter, so counters run in
+    # lexicographic order.
     best_energy = np.inf
     best_index = 0
-    for lo in range(0, 1 << q.dim, rows):
-        bits[:, :high] = (lo >> high_shifts) & 1
+    for start, bits in _basis_chunks(range(q.dim - 1, -1, -1)):
         energies = block_energies(q, bits)
         arg = int(np.argmin(energies))
         if energies[arg] < best_energy:
             best_energy = float(energies[arg])
-            best_index = lo + arg
+            best_index = start + arg
     bitstring = format(best_index, f"0{q.dim}b")
     objective = None
     route: tuple[str, ...] = ()

@@ -12,11 +12,13 @@ State preparation forms exactly the floats of the gate-by-gate circuit with
 few passes over memory.  The first rotation layer and the first CNOT chain
 are one product state built by doubling (the chain only permutes amplitudes,
 so it picks each qubit's cos or sin factor).  Each later rotation is four
-in-place numpy calls with one reused scratch buffer, ``a0*c + a1*(-s)`` and
+in-place numpy calls with a scratch buffer, ``a0*c + a1*(-s)`` and
 ``a1*c + a0*s``, which equal ``c*a0 - s*a1`` and ``s*a0 + c*a1`` bit for bit.
-The low half of the qubits, whose amplitude pairs lie close together, is
-rotated while the state is held transposed, so that every rotation walks
-long contiguous runs.
+A rotation layer runs in two passes over tiles of ``_TILE`` amplitudes, so
+that a tile and its scratch stay in cache however large the state: the low
+half of the qubits, whose amplitude pairs lie close together, is rotated in
+transposed bands of rows, the high half in bands of columns.  A state of at
+most one tile is one band in each pass.
 
 Bit-ordering convention, fixed everywhere: variable i of the QUBO block is
 qubit i is the i-th character of a bitstring, and qubit i is bit i of the flat
@@ -127,6 +129,7 @@ def bitstring_to_index(bits: str) -> int:
 
 
 _TRANSPOSE_ROWS = 32  # source rows per copy in _transpose
+_TILE = 1 << 16  # amplitudes per band of _rotation_layer (512 KiB of float64)
 
 
 def _transpose(src: np.ndarray, dst: np.ndarray) -> None:
@@ -192,29 +195,50 @@ def _first_layer(cos: np.ndarray, sin: np.ndarray, entangle: bool) -> np.ndarray
     return amps
 
 
-def _rotation_layer(
-    amps: np.ndarray, scratch: np.ndarray, num_qubits: int, cos: np.ndarray, sin: np.ndarray
-) -> None:
-    """RY on every qubit, qubit 0 first, in place on ``amps``.
+def _rotation_layer(amps: np.ndarray, num_qubits: int, cos: np.ndarray, sin: np.ndarray) -> None:
+    """RY on every qubit, qubit 0 first, in place on ``amps``, one tile at a time.
 
-    Qubit q pairs amplitudes ``2^q`` apart, so below ``h = m // 2`` the pair
-    slices are short and strided and numpy walks them slowly.  Those qubits
-    are rotated while the state is held transposed as ``(2^h, 2^(m-h))`` in
-    ``scratch``, where qubit q sits at bit ``m - h + q``; after one transpose
-    back, qubits ``h..m-1`` are rotated in place.  Every amplitude still sees
-    qubits 0..m-1 in order, so the floats are those of the plain update.
+    The state is held as the grid ``(2^(m-h), 2^h)``, ``h = m // 2``: a row
+    holds the low qubits ``0..h-1``, a column the high qubits ``h..m-1``.
+    Pass 1 takes bands of rows: each band is transposed into the tile, where
+    qubit q pairs rows of the tile ``2^q`` apart, its low qubits are rotated
+    with the band's own memory as the scratch, and the tile is transposed
+    back.  Pass 2 takes bands of columns: each band is copied into the tile,
+    its high qubits are rotated with a second tile as the scratch, and it is
+    copied back.  A band holds about ``_TILE`` amplitudes, so a tile and its
+    scratch stay in cache however large the state.  A state of at most
+    ``_TILE`` amplitudes is one band in each pass: pass 2 then rotates the
+    contiguous state in place, with the one tile as the scratch.  Every
+    amplitude still sees qubits 0..m-1 in order with the same four
+    operations, so the floats are those of the plain update.
     """
     m = num_qubits
     h = m // 2
     low, high = 1 << h, 1 << (m - h)
-    _transpose(amps.reshape(high, low), scratch.reshape(low, high))
-    for qubit in range(h):
-        shape = (1 << (h - qubit - 1), 2, 1 << (m - h + qubit))
-        _rotate(scratch.reshape(shape), amps.reshape(shape), cos[qubit], sin[qubit])
-    _transpose(scratch.reshape(low, high), amps.reshape(high, low))
-    for qubit in range(h, m):
-        shape = (1 << (m - qubit - 1), 2, 1 << qubit)
-        _rotate(amps.reshape(shape), scratch.reshape(shape), cos[qubit], sin[qubit])
+    grid = amps.reshape(high, low)
+    rows = min(high, max(1, _TILE >> h))  # a pass-1 band is (rows, low)
+    cols = min(low, max(1, _TILE >> (m - h)))  # a pass-2 band is (high, cols)
+    tile = np.empty(max(rows * low, high * cols))
+    work = tile[:rows * low]
+    for row in range(0, high, rows):
+        band = grid[row:row + rows]
+        _transpose(band, work.reshape(low, rows))
+        for qubit in range(h):
+            shape = (1 << (h - qubit - 1), 2, rows << qubit)
+            _rotate(work.reshape(shape), band.reshape(shape), cos[qubit], sin[qubit])
+        _transpose(work.reshape(low, rows), band)
+    whole = cols == low  # one band: rotate the contiguous state in place
+    work = amps if whole else tile[:high * cols]
+    spare = tile if whole else np.empty(high * cols)
+    for col in range(0, low, cols):
+        band = grid[:, col:col + cols]
+        if not whole:
+            np.copyto(work.reshape(high, cols), band)
+        for qubit in range(h, m):
+            shape = (1 << (m - qubit - 1), 2, cols << (qubit - h))
+            _rotate(work.reshape(shape), spare.reshape(shape), cos[qubit], sin[qubit])
+        if not whole:
+            np.copyto(band, work.reshape(high, cols))
 
 
 def prepare_state(spec: AnsatzSpec, theta) -> Statevector:
@@ -225,11 +249,14 @@ def prepare_state(spec: AnsatzSpec, theta) -> Statevector:
 
     The first rotation layer and the first CNOT chain are built together as
     a product state (``_first_layer``).  Each later rotation layer works in
-    place with one state-sized scratch buffer (``_rotation_layer``: the
-    rotation identity of ``_rotate``, the low qubits in one transposed
-    pass), and only chains from the second on take the ``_cnot_chain``
-    gather.  The amplitudes are byte-identical to applying the gates one at
-    a time.
+    place, one tile at a time (``_rotation_layer``: the rotation identity of
+    ``_rotate``; the low qubits in transposed bands of rows with the band as
+    the scratch, the high qubits in bands of columns with a second tile as
+    the scratch).  A state of at most ``_TILE`` amplitudes is one band in
+    each pass and needs one state-sized buffer; a larger one needs two
+    tiles and no state-sized scratch.  Only chains from the second on take
+    the ``_cnot_chain`` gather.  The amplitudes are byte-identical to
+    applying the gates one at a time.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (spec.parameter_count,):
@@ -240,20 +267,18 @@ def prepare_state(spec: AnsatzSpec, theta) -> Statevector:
     half_angles = theta / 2.0
     cos, sin = np.cos(half_angles), np.sin(half_angles)  # elementwise, as per-angle calls
     amps = _first_layer(cos[:m], sin[:m], entangle=spec.reps > 0)
-    if spec.reps:
-        scratch = np.empty_like(amps)
-        for layer in range(1, spec.reps + 1):
-            if layer > 1:
-                amps = _cnot_chain(amps, m)
-            angles = slice(layer * m, (layer + 1) * m)
-            _rotation_layer(amps, scratch, m, cos[angles], sin[angles])
+    for layer in range(1, spec.reps + 1):
+        if layer > 1:
+            amps = _cnot_chain(amps, m)
+        angles = slice(layer * m, (layer + 1) * m)
+        _rotation_layer(amps, m, cos[angles], sin[angles])
     return Statevector(amps)
 
 
 def exact_distribution(state: Statevector) -> BasisWeights:
     """Measurement distribution |amplitude|^2; zero-probability states omitted."""
     probs = np.square(state.amplitudes)
-    nonzero = np.flatnonzero(probs)
+    nonzero = np.flatnonzero(probs != 0)  # nonzero scans a bool mask faster than floats
     return BasisWeights(nonzero, probs[nonzero], state.num_qubits)
 
 
@@ -267,7 +292,8 @@ def sample(state: Statevector, shots: int, rng: np.random.Generator) -> SampleCo
     probs = np.square(state.amplitudes)
     probs /= probs.sum()  # guard against 1e-16 normalization drift
     counts_vec = rng.multinomial(shots, probs)
-    nonzero = np.flatnonzero(counts_vec)
+    del probs  # freed before the mask, which then adds nothing to the peak
+    nonzero = np.flatnonzero(counts_vec != 0)
     return SampleCounts(BasisWeights(nonzero, counts_vec[nonzero], state.num_qubits), shots)
 
 

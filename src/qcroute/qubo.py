@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,8 +44,9 @@ __all__ = [
     "BLOCK_DIM_CAP",
 ]
 
-# Largest block any solver takes: a 2^24-amplitude float64 statevector (128 MiB) or
-# 2^24 enumerated bitstrings.
+# Largest block any solver takes: a 2^24-amplitude float64 statevector (128 MiB;
+# a solve adds the probabilities and the multinomial counts, no state-sized
+# scratch) or 2^24 enumerated bitstrings (energies formed 2^16 rows at a time).
 BLOCK_DIM_CAP = 24
 
 
@@ -110,11 +111,14 @@ class CableQubo:
         """Energies of all 2^dim basis states, indexed by basis index.
 
         Entry y is the energy of the bitstring whose variable i is bit i of
-        y: ``block_energies`` of the full bit matrix in ascending index
-        order.  Built on first use and kept for the block's lifetime;
-        read-only.
+        y: ``block_energies`` of the bit matrix in ascending index order,
+        formed in the 2^16-row chunks of ``_basis_chunks`` (one chunk up to
+        16 variables).  Built on first use and kept for the block's
+        lifetime; read-only.
         """
-        table = block_energies(self, _basis_bits(range(self.dim), self.dim))
+        table = np.empty(1 << self.dim)
+        for start, bits in _basis_chunks(range(self.dim)):
+            block_energies(self, bits, out=table[start:start + len(bits)])
         table.flags.writeable = False
         return table
 
@@ -295,9 +299,39 @@ def _basis_bits(columns: Sequence[int], width: int) -> np.ndarray:
     return bits
 
 
-def block_energies(q: CableQubo, bits: np.ndarray) -> np.ndarray:
-    """Energies z^T Q z + offset of the rows of a (n, dim) 0/1 float matrix."""
-    return ((bits @ q.q) * bits).sum(axis=1) + q.offset
+_CHUNK_BITS = 16  # counter bits per chunk of _basis_chunks: 2^16 rows
+
+
+def _basis_chunks(columns: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """The 0/1 float bit matrix of all 2^k counters, 2^16 rows at a time.
+
+    k is ``len(columns)``, a permutation of the k variables: row r of the
+    chunk starting at counter ``start`` is counter ``start + r``, whose bit
+    j is in column ``columns[j]``.  The low 16 counter bits repeat in every
+    chunk, so their matrix is built once; per chunk only the columns of the
+    higher bits, constant within a chunk, are refilled from ``start``.
+    Every chunk is the same array with the same shape, so every
+    ``bits @ Q`` takes the same BLAS path; it is overwritten by the next
+    chunk.  Yields (start, bits).
+    """
+    columns = list(columns)
+    low = min(len(columns), _CHUNK_BITS)
+    bits = _basis_bits(columns[:low], len(columns))
+    high_columns = columns[low:]
+    high_shifts = np.arange(low, len(columns))
+    for start in range(0, 1 << len(columns), 1 << low):
+        bits[:, high_columns] = (start >> high_shifts) & 1
+        yield start, bits
+
+
+def block_energies(q: CableQubo, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Energies z^T Q z + offset of the rows of a (n, dim) 0/1 float matrix.
+
+    Written to ``out`` (shape (n,)) when given, else to a new array.
+    """
+    energies = ((bits @ q.q) * bits).sum(axis=1, out=out)
+    energies += q.offset
+    return energies
 
 
 def qubo_energy(q: CableQubo, z) -> float:

@@ -172,6 +172,19 @@ def parent_prepare_state(num_qubits, reps, theta):
     return amps
 
 
+def parent_energy_table(q):
+    """``CableQubo.energy_table`` frozen from its one-product form.
+
+    One (2^dim, dim) float 0/1 matrix, bit i of row y in column i, and one
+    ``bits @ Q`` over all of it; entry y is the energy of basis index y.
+    """
+    index = np.arange(1 << q.dim)
+    bits = np.empty((1 << q.dim, q.dim))
+    for i in range(q.dim):
+        bits[:, i] = (index >> i) & 1
+    return ((bits @ q.q) * bits).sum(axis=1) + q.offset
+
+
 def parent_estimate_energy(weights, q):
     """``estimate_energy`` frozen from its form before the per-block table.
 

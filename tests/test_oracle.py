@@ -33,6 +33,28 @@ def baseline_qubo(instance, cable, kappa=1.0):
     )
 
 
+RING_18_CHORDS = [(0, 3), (1, 5), (2, 6), (4, 7)]
+
+
+def chorded_ring(chords):
+    """8 nodes on a ring plus ``chords``, one cable from v0 to v5.
+
+    Its block has 8 + len(chords) segment variables and 6 internal-node
+    variables.
+    """
+    pairs = [(i, (i + 1) % 8) for i in range(8)] + list(chords)
+    doc = {
+        "name": f"ring-{len(pairs) + 6}",
+        "nodes": [{"id": f"v{i}"} for i in range(8)],
+        "segments": [
+            {"id": f"e{k}", "u": f"v{a}", "v": f"v{b}", "length": 1.0 + 0.3 * (k % 5)}
+            for k, (a, b) in enumerate(pairs)
+        ],
+        "cables": [{"id": "c1", "source": "v0", "terminal": "v5", "alpha": 1.5}],
+    }
+    return parse_instance(json.dumps(doc))
+
+
 def zero_qubo(dim):
     return CableQubo(
         dim=dim,
@@ -122,19 +144,9 @@ class TestBruteForce:
             brute_force_min(zero_qubo(BRUTE_FORCE_DIM_CAP + 1))
 
     def test_equals_parent_shift_matrix_enumeration(self, layout2):
-        # 8 nodes on a ring plus 4 chords: 12 segments + 6 internal nodes, so
-        # the 18-variable block runs four 2^16-row chunks.
-        pairs = [(i, (i + 1) % 8) for i in range(8)] + [(0, 3), (1, 5), (2, 6), (4, 7)]
-        doc = {
-            "name": "ring-18",
-            "nodes": [{"id": f"v{i}"} for i in range(8)],
-            "segments": [
-                {"id": f"e{k}", "u": f"v{a}", "v": f"v{b}", "length": 1.0 + 0.3 * (k % 5)}
-                for k, (a, b) in enumerate(pairs)
-            ],
-            "cables": [{"id": "c1", "source": "v0", "terminal": "v5", "alpha": 1.5}],
-        }
-        ring = parse_instance(json.dumps(doc))
+        # 12 segments + 6 internal nodes: the 18-variable block runs four
+        # 2^16-row chunks.
+        ring = chorded_ring(RING_18_CHORDS)
         blocks = [baseline_qubo(ring, ring.cables[0]), zero_qubo(17)]
         blocks += [baseline_qubo(layout2, cable, kappa) for cable in layout2.cables for kappa in (0.25, 1.0)]
         assert blocks[0].dim == 18

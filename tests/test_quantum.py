@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,39 @@ class TestPrepareState:
             amps = prepare_state(spec, theta).amplitudes
             assert amps.dtype == np.float64 and amps.shape == (1 << m,) and amps.flags.c_contiguous
             assert amps.tobytes() == parent_prepare_state(m, reps, theta).tobytes()
+
+    @pytest.mark.parametrize("tile", [1, 2, 8, 64])
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_bytes_equal_with_many_tiles(self, monkeypatch, tile, m):
+        # Tiles far below the state make both passes run many bands, with
+        # bands narrower than a row or a column of the grid at small tiles.
+        monkeypatch.setattr(quantum, "_TILE", tile)
+        rng = np.random.default_rng(100 * m + tile)
+        for reps in range(4):
+            n = AnsatzSpec(m, reps).parameter_count
+            for theta in (rng.uniform(-2 * np.pi, 2 * np.pi, n), rng.choice([-np.pi, 0.0, np.pi], n)):
+                amps = prepare_state(AnsatzSpec(m, reps), theta).amplitudes
+                assert amps.tobytes() == parent_prepare_state(m, reps, theta).tobytes()
+
+    @pytest.mark.parametrize("reps", [1, 2])
+    @pytest.mark.parametrize("m", [17, 18])
+    def test_bytes_equal_gate_by_gate_kernel_past_one_tile(self, m, reps):
+        theta = np.random.default_rng(1000 * m + reps).uniform(-2 * np.pi, 2 * np.pi, m * (reps + 1))
+        amps = prepare_state(AnsatzSpec(m, reps), theta).amplitudes
+        assert amps.tobytes() == parent_prepare_state(m, reps, theta).tobytes()
+
+    def test_twenty_qubit_peak_is_the_state_plus_two_tiles(self):
+        spec = AnsatzSpec(20, 1)
+        theta = np.linspace(0.1, 1.0, spec.parameter_count)
+        tracemalloc.start()
+        try:
+            prepare_state(spec, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state, tiles = 8 << 20, 2 * 8 * quantum._TILE
+        # Slack for numpy's ufunc iterator buffers (two 64 KiB) and the angles.
+        assert peak < state + tiles + (256 << 10)
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_cnot_gather_equals_gate_by_gate_swaps(self, m):

@@ -18,7 +18,8 @@ from qcroute import (
 )
 from qcroute.qubo import _basis_bits, block_energies, ising_document, qubo_document, spins_from_bits, variable_map
 from conftest import TRIANGLE_DOC
-from reference import reference_energy
+from reference import parent_energy_table, reference_energy
+from test_oracle import RING_18_CHORDS, baseline_qubo, chorded_ring
 
 
 def make_qubo(instance, cable_id, kappa=1.0):
@@ -232,6 +233,14 @@ class TestEnergyTable:
                 q = make_qubo(instance, cable.id, kappa)
                 expected = block_energies(q, shifted_bits(q.dim, range(q.dim)))
                 assert q.energy_table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chords", [RING_18_CHORDS[:3], RING_18_CHORDS, RING_18_CHORDS + [(0, 4), (3, 6)]])
+    def test_chunked_table_bytes_equal_one_product(self, chords):
+        # 17, 18 and 20 variables: two to sixteen 2^16-row chunks.
+        ring = chorded_ring(chords)
+        q = baseline_qubo(ring, ring.cables[0])
+        assert q.dim == 14 + len(chords)
+        assert q.energy_table.tobytes() == parent_energy_table(q).tobytes()
 
     def test_built_once_and_read_only(self, triangle):
         q = make_qubo(triangle, "c1")
