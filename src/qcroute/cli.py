@@ -164,6 +164,8 @@ def cmd_sweep(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(out_dir):  # fail before the grid runs, not after
         raise FileNotFoundError(errno.ENOENT, "output directory does not exist", out_dir)
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
 
     def progress(kappa: float, seed: int) -> None:
         print(f"sweep kappa={_fmt(kappa)} seed={seed} done", file=sys.stderr)

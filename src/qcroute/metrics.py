@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 from .instance import Instance
 from .oracle import shortest_path_opt
+from .qubo import PenaltyWeights
 from .vqe import VqeConfig, cable_subseed, solve_decomposed
 
 __all__ = [
@@ -177,6 +178,8 @@ def run_sweep(
         raise ValueError("num_seeds must be positive")
     if jobs < 1:
         raise ValueError("jobs must be positive")
+    for kappa in kappas:  # PenaltyWeights holds the kappa rule; apply it before the first cell
+        PenaltyWeights(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, kappa=float(kappa))
     oracle_objectives = {
         c.id: _round12(shortest_path_opt(instance, c).objective) for c in instance.cables
     }

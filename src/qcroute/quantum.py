@@ -128,19 +128,7 @@ def bitstring_to_index(bits: str) -> int:
     return int(bits[::-1], 2)
 
 
-_TRANSPOSE_ROWS = 32  # source rows per copy in _transpose
 _TILE = 1 << 16  # amplitudes per band of _rotation_layer (512 KiB of float64)
-
-
-def _transpose(src: np.ndarray, dst: np.ndarray) -> None:
-    """``dst[...] = src.T`` for 2-D arrays, in bands of source rows.
-
-    One transposed copy of a large state walks the strided side across the
-    whole array; bands of rows keep both sides of each copy in cache.  A
-    copy, so exact in any order.
-    """
-    for row in range(0, src.shape[0], _TRANSPOSE_ROWS):
-        np.copyto(dst[:, row:row + _TRANSPOSE_ROWS], src[row:row + _TRANSPOSE_ROWS].T)
 
 
 def _rotate(view: np.ndarray, scratch: np.ndarray, c: float, s: float) -> None:
@@ -222,11 +210,11 @@ def _rotation_layer(amps: np.ndarray, num_qubits: int, cos: np.ndarray, sin: np.
     work = tile[:rows * low]
     for row in range(0, high, rows):
         band = grid[row:row + rows]
-        _transpose(band, work.reshape(low, rows))
+        np.copyto(work.reshape(low, rows), band.T)
         for qubit in range(h):
             shape = (1 << (h - qubit - 1), 2, rows << qubit)
             _rotate(work.reshape(shape), band.reshape(shape), cos[qubit], sin[qubit])
-        _transpose(work.reshape(low, rows), band)
+        np.copyto(band, work.reshape(low, rows).T)
     whole = cols == low  # one band: rotate the contiguous state in place
     work = amps if whole else tile[:high * cols]
     spare = tile if whole else np.empty(high * cols)

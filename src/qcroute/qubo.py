@@ -189,35 +189,24 @@ def variable_map(instance: Instance, cable: Cable) -> VariableMap:
     )
 
 
-def default_penalties(instance: Instance, cable: Cable, across_cables: bool = False) -> PenaltyWeights:
+def default_penalties(instance: Instance, cable: Cable) -> PenaltyWeights:
     """Exact-penalty lower-bound weights for one cable (kappa = 1).
 
     w1 and w2 sum the cable's costs over segments incident to the source and
     terminal; w3 takes the maximum such sum over internal nodes.  The weights
-    are eta_i = 1 + w_i for i in 1..3 and eta4 = 1.  With ``across_cables``
-    the w sums are replaced by their maxima over all cables of the instance,
-    yielding one weight vector valid for every block.
+    are eta_i = 1 + w_i for i in 1..3 and eta4 = 1.
     """
-    if across_cables:
-        sums = [_w_sums(instance, c) for c in instance.cables]
-        w1, w2, w3 = (max(s[i] for s in sums) for i in range(3))
-    else:
-        w1, w2, w3 = _w_sums(instance, cable)
-    return PenaltyWeights(
-        eta1=1.0 + w1, eta2=1.0 + w2, eta3=1.0 + w3, eta4=1.0,
-        w1=w1, w2=w2, w3=w3, kappa=1.0,
-    )
 
-
-def _w_sums(instance: Instance, cable: Cable) -> tuple[float, float, float]:
     def incident_cost(node_id: str) -> float:
         return sum(cable.costs[instance.segments[i].id] for i in incident_segments(instance, node_id))
 
     w1 = incident_cost(cable.source)
     w2 = incident_cost(cable.terminal)
-    internal = instance.internal_nodes(cable)
-    w3 = max((incident_cost(k) for k in internal), default=0.0)
-    return w1, w2, w3
+    w3 = max((incident_cost(k) for k in instance.internal_nodes(cable)), default=0.0)
+    return PenaltyWeights(
+        eta1=1.0 + w1, eta2=1.0 + w2, eta3=1.0 + w3, eta4=1.0,
+        w1=w1, w2=w2, w3=w3, kappa=1.0,
+    )
 
 
 def scale_penalties(p: PenaltyWeights, kappa: float) -> PenaltyWeights:

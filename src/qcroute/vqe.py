@@ -14,7 +14,7 @@ seed is expanded into independent per-cable and per-purpose substreams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -68,15 +68,74 @@ class VqeConfig:
 
 @dataclass
 class OptTrace:
-    """Objective values in evaluation order, plus loop accounting."""
+    """Objective values in evaluation order, and whether the run converged."""
 
     values: list[float] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _nelder_mead(x0: np.ndarray, ftol: float) -> Generator[np.ndarray, float, None]:
+    """Nelder-Mead simplex descent as an ask/tell generator.
+
+    Yields each point to evaluate and receives its value through ``send``.
+    Every full update cycle (dim + 1 simplex iterations) convergence is
+    checked: the generator returns once the lowest simplex value improved by
+    less than ``ftol`` over the cycle and the simplex values have collapsed to
+    within ``ftol`` of each other.  (The spread condition keeps episodic
+    non-improving cycles, common mid-descent, from stopping the run while the
+    simplex is still large.)  The lowest simplex value is the lowest value
+    ever received: rejected trial points never beat vertex 0, and a shrink
+    keeps it.  The caller owns the budget and simply stops sending.
+    """
+    step, alpha, gamma, rho, sigma = 0.5, 1.0, 2.0, 0.5, 0.5
+    vertices = [x0]
+    values = [(yield x0)]
+    for i in range(len(x0)):
+        point = x0.copy()
+        point[i] += step
+        vertices.append(point)
+        values.append((yield point))
+
+    cycle = len(x0) + 1
+    best_at_check = min(values)
+    iteration = 0
+    while True:
+        order = np.argsort(values, kind="stable")
+        vertices = [vertices[i] for i in order]
+        values = [values[i] for i in order]
+        centroid = np.mean(vertices[:-1], axis=0)
+        worst = vertices[-1]
+
+        reflected = centroid + alpha * (centroid - worst)
+        f_reflected = yield reflected
+        if f_reflected < values[0]:
+            expanded = centroid + gamma * (centroid - worst)
+            f_expanded = yield expanded
+            if f_expanded < f_reflected:
+                vertices[-1], values[-1] = expanded, f_expanded
+            else:
+                vertices[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            vertices[-1], values[-1] = reflected, f_reflected
+        else:
+            if f_reflected < values[-1]:
+                contracted = centroid + rho * (reflected - centroid)
+            else:
+                contracted = centroid + rho * (worst - centroid)
+            f_contracted = yield contracted
+            if f_contracted < min(f_reflected, values[-1]):
+                vertices[-1], values[-1] = contracted, f_contracted
+            else:
+                for i in range(1, len(vertices)):
+                    vertices[i] = vertices[0] + sigma * (vertices[i] - vertices[0])
+                    values[i] = yield vertices[i]
+
+        iteration += 1
+        if iteration % cycle == 0:
+            best = min(values)
+            if best_at_check - best < ftol and max(values) - best < ftol:
+                return
+            best_at_check = best
 
 
 def minimize(
@@ -85,99 +144,36 @@ def minimize(
     config: VqeConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float, OptTrace]:
-    """Budgeted Nelder-Mead simplex descent.
+    """Budgeted Nelder-Mead: drive ``_nelder_mead`` for at most ``config.maxiter`` evaluations.
 
-    Runs for at most ``config.maxiter`` objective evaluations.  Every full
-    update cycle (dim + 1 simplex iterations) convergence is checked: the run
-    ends early once the best value improved by less than ``config.ftol`` over
-    the cycle and the simplex values have collapsed to within ``config.ftol``
-    of each other.  (The spread condition keeps episodic non-improving cycles,
-    common mid-descent, from stopping the run while the simplex is still
-    large.)  Deterministic given (config, rng state).  Returns the best point,
-    its value, and the evaluation trace.
+    The start point is uniform in [0, 2pi) per angle or all zeros
+    (``config.theta_init``).  Each point the generator asks for is evaluated
+    once and its value sent back; the run ends when the budget is spent or
+    the generator reports convergence (``config.ftol``).  Deterministic given
+    (config, rng state).  Returns the first point that reached the lowest
+    value, that value, and the evaluation trace.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    trace = OptTrace()
-    best_x: np.ndarray | None = None
-    best_f = np.inf
-
-    def evaluate(x: np.ndarray) -> float:
-        nonlocal best_x, best_f
-        if len(trace.values) >= config.maxiter:
-            raise _BudgetExhausted
-        value = float(fn(x))
-        trace.values.append(value)
-        if value < best_f:
-            best_f = value
-            best_x = x.copy()
-        return value
-
     if config.theta_init == "uniform":
         x0 = rng.random(dim) * 2.0 * np.pi
     else:
         x0 = np.zeros(dim)
 
-    step = 0.5
-    vertices = [x0]
-    values: list[float] = []
-    try:
-        values.append(evaluate(x0))
-        for i in range(dim):
-            point = x0.copy()
-            point[i] += step
-            vertices.append(point)
-            values.append(evaluate(point))
-    except _BudgetExhausted:
-        assert best_x is not None
-        return best_x, best_f, trace
-
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    cycle = dim + 1
-    best_at_check = best_f
-    try:
-        while len(trace.values) < config.maxiter:
-            order = np.argsort(values, kind="stable")
-            vertices = [vertices[i] for i in order]
-            values = [values[i] for i in order]
-            centroid = np.mean(vertices[:-1], axis=0)
-            worst = vertices[-1]
-
-            reflected = centroid + alpha * (centroid - worst)
-            f_reflected = evaluate(reflected)
-            if f_reflected < values[0]:
-                expanded = centroid + gamma * (centroid - worst)
-                f_expanded = evaluate(expanded)
-                if f_expanded < f_reflected:
-                    vertices[-1], values[-1] = expanded, f_expanded
-                else:
-                    vertices[-1], values[-1] = reflected, f_reflected
-            elif f_reflected < values[-2]:
-                vertices[-1], values[-1] = reflected, f_reflected
-            else:
-                if f_reflected < values[-1]:
-                    contracted = centroid + rho * (reflected - centroid)
-                else:
-                    contracted = centroid + rho * (worst - centroid)
-                f_contracted = evaluate(contracted)
-                if f_contracted < min(f_reflected, values[-1]):
-                    vertices[-1], values[-1] = contracted, f_contracted
-                else:
-                    for i in range(1, len(vertices)):
-                        vertices[i] = vertices[0] + sigma * (vertices[i] - vertices[0])
-                        values[i] = evaluate(vertices[i])
-
-            trace.iterations += 1
-            if trace.iterations % cycle == 0:
-                spread = max(values) - min(values)
-                if best_at_check - best_f < config.ftol and spread < config.ftol:
-                    trace.converged = True
-                    break
-                best_at_check = best_f
-    except _BudgetExhausted:
-        pass
-
-    assert best_x is not None
+    trace = OptTrace()
+    best_x, best_f = x0, np.inf
+    steps = _nelder_mead(x0, config.ftol)
+    x = next(steps)
+    while len(trace.values) < config.maxiter:
+        value = float(fn(x))
+        trace.values.append(value)
+        if value < best_f:
+            best_x, best_f = x.copy(), value
+        try:
+            x = steps.send(value)
+        except StopIteration:
+            trace.converged = True
+            break
     return best_x, best_f, trace
 
 
@@ -191,7 +187,6 @@ class SolveResult:
     e_exp_final: float
     feasibility: FeasibilityReport
     objective: float | None
-    iterations_used: int
     evaluations_used: int
     seed: int
 
@@ -252,7 +247,6 @@ def vqe_solve(q: CableQubo, config: VqeConfig, instance: Instance) -> SolveResul
         e_exp_final=e_star,
         feasibility=feasibility,
         objective=objective_value,
-        iterations_used=trace.iterations,
         evaluations_used=len(trace.values),
         seed=config.seed,
     )

@@ -229,3 +229,93 @@ def parent_brute_force_min(q):
         if energies[arg] < best_energy:
             best_energy, best_index = float(energies[arg]), lo + arg
     return format(best_index, f"0{q.dim}b"), best_energy
+
+
+class _BudgetExhausted(Exception):
+    pass
+
+
+def parent_minimize(fn, dim, config, rng):
+    """``minimize`` frozen from its closure-and-exception form.
+
+    The same Nelder-Mead moves, a budget enforced by an exception from the
+    evaluation closure, and a convergence check every dim + 1 iterations
+    against a separately tracked best value.  Returns (best point, best
+    value, values in evaluation order, converged).
+    """
+    values_seen = []
+    converged = False
+    best_x, best_f = None, np.inf
+
+    def evaluate(x):
+        nonlocal best_x, best_f
+        if len(values_seen) >= config.maxiter:
+            raise _BudgetExhausted
+        value = float(fn(x))
+        values_seen.append(value)
+        if value < best_f:
+            best_f = value
+            best_x = x.copy()
+        return value
+
+    if config.theta_init == "uniform":
+        x0 = rng.random(dim) * 2.0 * np.pi
+    else:
+        x0 = np.zeros(dim)
+
+    vertices = [x0]
+    values = []
+    try:
+        values.append(evaluate(x0))
+        for i in range(dim):
+            point = x0.copy()
+            point[i] += 0.5
+            vertices.append(point)
+            values.append(evaluate(point))
+    except _BudgetExhausted:
+        return best_x, best_f, values_seen, converged
+
+    iterations = 0
+    best_at_check = best_f
+    try:
+        while len(values_seen) < config.maxiter:
+            order = np.argsort(values, kind="stable")
+            vertices = [vertices[i] for i in order]
+            values = [values[i] for i in order]
+            centroid = np.mean(vertices[:-1], axis=0)
+            worst = vertices[-1]
+
+            reflected = centroid + 1.0 * (centroid - worst)
+            f_reflected = evaluate(reflected)
+            if f_reflected < values[0]:
+                expanded = centroid + 2.0 * (centroid - worst)
+                f_expanded = evaluate(expanded)
+                if f_expanded < f_reflected:
+                    vertices[-1], values[-1] = expanded, f_expanded
+                else:
+                    vertices[-1], values[-1] = reflected, f_reflected
+            elif f_reflected < values[-2]:
+                vertices[-1], values[-1] = reflected, f_reflected
+            else:
+                if f_reflected < values[-1]:
+                    contracted = centroid + 0.5 * (reflected - centroid)
+                else:
+                    contracted = centroid + 0.5 * (worst - centroid)
+                f_contracted = evaluate(contracted)
+                if f_contracted < min(f_reflected, values[-1]):
+                    vertices[-1], values[-1] = contracted, f_contracted
+                else:
+                    for i in range(1, len(vertices)):
+                        vertices[i] = vertices[0] + 0.5 * (vertices[i] - vertices[0])
+                        values[i] = evaluate(vertices[i])
+
+            iterations += 1
+            if iterations % (dim + 1) == 0:
+                spread = max(values) - min(values)
+                if best_at_check - best_f < config.ftol and spread < config.ftol:
+                    converged = True
+                    break
+                best_at_check = best_f
+    except _BudgetExhausted:
+        pass
+    return best_x, best_f, values_seen, converged

@@ -235,6 +235,14 @@ class TestSweepAndReport:
         assert "done" not in captured.err and "output directory does not exist" in captured.err
         assert captured.out == ""
 
+    def test_directory_output_fails_before_the_grid(self, tmp_path, capsys):
+        code = main(["sweep", "layout-1", "--kappas", "1", "--seeds", "3", "--out", str(tmp_path),
+                     "--shots", "50", "--maxiter", "8"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "done" not in captured.err and "Is a directory" in captured.err
+        assert captured.out == ""
+
     def test_unwritable_output_exit_3(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "results.csv"
         code = main(["sweep", "layout-1", "--kappas", "1", "--seeds", "1",
@@ -260,6 +268,16 @@ class TestSweepAndReport:
         assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
         captured = capsys.readouterr()
         assert "--kappas" in captured.err and entry in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("kappas", ["1,-1", "1,nan", "1,inf", "1,0"])
+    def test_bad_later_kappa_fails_before_the_first_cell(self, kappas, tmp_path, capsys):
+        args = ["sweep", "layout-1", "--kappas", kappas, "--seeds", "2", "--shots", "50", "--maxiter", "8"]
+        assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert "kappa must be positive and finite" in captured.err
+        assert "done" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "r.csv").exists()
 

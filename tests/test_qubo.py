@@ -73,13 +73,6 @@ class TestDefaultPenalties:
                 assert pens.eta3 >= 1 + pens.w3
                 assert pens.eta4 >= 1
 
-    def test_across_cables_takes_maxima(self, layout1):
-        per_cable = [default_penalties(layout1, c) for c in layout1.cables]
-        pooled = default_penalties(layout1, layout1.cables[0], across_cables=True)
-        assert pooled.w1 == max(p.w1 for p in per_cable)
-        assert pooled.w2 == max(p.w2 for p in per_cable)
-        assert pooled.w3 == max(p.w3 for p in per_cable)
-
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             PenaltyWeights(eta1=-1, eta2=0, eta3=0, eta4=0, w1=0, w2=0, w3=0)

@@ -15,6 +15,7 @@ from qcroute import (
 )
 from qcroute.qubo import BLOCK_DIM_CAP as STATEVECTOR_DIM_CAP
 from qcroute.vqe import cable_block, cable_subseed, solve_cable
+from reference import parent_minimize
 from test_oracle import zero_qubo
 
 
@@ -62,7 +63,9 @@ class TestMinimize:
         _, value, trace = minimize(lambda x: 3.25, 4, config, np.random.default_rng(1))
         assert value == 3.25
         assert trace.converged
-        assert trace.iterations == 5  # one full update cycle of dim + 1 iterations
+        # 5 start points, then one check cycle of dim + 1 = 5 iterations, each
+        # a reflection, a contraction and a 4-point shrink: 5 + 5 * 6 evaluations
+        assert len(trace.values) == 35
         assert len(trace.values) < 500
 
     def test_same_stream_identical_traces(self):
@@ -92,6 +95,29 @@ class TestMinimize:
             lambda x: float(np.sum((x - 2.0) ** 2)), 3, config, np.random.default_rng(0)
         )
         assert value == 12.0  # objective at the all-zeros start
+
+    OBJECTIVES = {
+        "constant": (4, 1e-6, lambda x: 3.25),  # converges at the first check, 35 evaluations
+        "bowl": (2, 1e-2, lambda x: float(np.sum((x - 3.0) ** 2))),  # converges after 24-32
+        "noisy": (3, 1e-6, lambda x: float(np.sum(np.sin(x) ** 2) + 0.1 * np.cos(10 * np.sum(x)))),
+        # seed 1 starts on the plateau and converges at its first check, the 15th evaluation
+        "plateau": (2, 1e-6, lambda x: float(min(np.sum((x - 3.0) ** 2), 4.0))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_equals_frozen_parent_at_every_budget(self, name):
+        dim, ftol, fn = self.OBJECTIVES[name]
+        for seed in range(3):
+            for budget in range(1, 41):
+                config = VqeConfig(maxiter=budget, ftol=ftol)
+                theta, value, trace = minimize(fn, dim, config, np.random.default_rng(seed))
+                want_theta, want_value, want_values, want_converged = parent_minimize(
+                    fn, dim, config, np.random.default_rng(seed)
+                )
+                assert trace.values == want_values
+                assert trace.converged == want_converged
+                assert value == want_value
+                assert theta.tobytes() == want_theta.tobytes()
 
     def test_budget_never_exceeded(self):
         for budget in (1, 3, 7, 25):
