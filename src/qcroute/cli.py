@@ -18,6 +18,7 @@ import sys
 
 from .instance import Instance, bundled_layouts, parse_instance
 from .metrics import (
+    _fmt,
     build_report,
     plot_tables,
     records_from_csv,
@@ -36,10 +37,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _JOBS_ENV = "QCROUTE_JOBS"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _load_instance(path: str) -> Instance:

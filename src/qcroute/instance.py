@@ -95,9 +95,6 @@ class Instance:
     def num_cables(self) -> int:
         return len(self.cables)
 
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
-
     def cable(self, cable_id: str) -> Cable:
         for c in self.cables:
             if c.id == cable_id:

@@ -170,7 +170,9 @@ def run_sweep(
     classical optima are computed once per cable.  Cells are independent and
     may run in ``jobs`` parallel processes; records are reduced in sorted
     order either way, so the report is identical for any job count.
-    ``progress`` is called with (kappa, seed) as each cell completes.
+    ``progress`` is called with (kappa, seed) as each cell completes.  A
+    kappa that is not positive and finite, or repeats an earlier one, raises
+    ValueError before the first cell.
     """
     if not kappas:
         raise ValueError("kappas must be nonempty")
@@ -178,8 +180,12 @@ def run_sweep(
         raise ValueError("num_seeds must be positive")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    for kappa in kappas:  # PenaltyWeights holds the kappa rule; apply it before the first cell
+    seen = set()  # kappas as the records key them, at 12 significant digits
+    for position, kappa in enumerate(kappas, start=1):  # PenaltyWeights holds the kappa rule
         PenaltyWeights(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, kappa=float(kappa))
+        if _round12(kappa) in seen:
+            raise ValueError(f"kappa entry {position} ({kappa!r}) repeats an earlier entry")
+        seen.add(_round12(kappa))
     oracle_objectives = {
         c.id: _round12(shortest_path_opt(instance, c).objective) for c in instance.cables
     }
@@ -261,12 +267,14 @@ def records_from_csv(text: str) -> list[RunRecord]:
     """Parse a results CSV; raises ValueError naming the line and field.
 
     Besides schema mismatches it rejects a non-finite number, a kappa <= 0,
-    a negative seed and a feasible row with no objective.
+    a negative seed, a feasible row with no objective and a repeated
+    (layout, cable_id, kappa, seed) key.
     """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != CSV_HEADER.split(","):
         raise ValueError(f"results CSV must start with header {CSV_HEADER!r}")
     records = []
+    key_lines: dict[tuple[str, str, float, int], int] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 9:
             raise ValueError(f"line {lineno}: expected 9 fields, got {len(row)}")
@@ -284,6 +292,10 @@ def records_from_csv(text: str) -> list[RunRecord]:
             raise ValueError(f"line {lineno}: seed {seed!r} is not an integer") from None
         if seed_value < 0:
             raise ValueError(f"line {lineno}: seed must be nonnegative, got {seed!r}")
+        key = (layout, cable_id, kappa_value, seed_value)
+        if key in key_lines:
+            raise ValueError(f"line {lineno}: repeats the (layout, cable_id, kappa, seed) of line {key_lines[key]}")
+        key_lines[key] = lineno
         records.append(
             RunRecord(
                 layout=layout,

@@ -80,14 +80,22 @@ class Statevector:
 class BasisWeights(Mapping[str, float]):
     """Read-only bitstring -> weight mapping over basis-state indices.
 
-    ``indices`` holds the basis indices with nonzero weight, ascending and
-    unique; ``weights`` their weights, in the same order.  Lookups and
-    ``len`` work on the arrays; bitstrings are built only when iterated.
+    ``indices`` holds the basis indices with nonzero weight, strictly
+    ascending within ``[0, 2^num_qubits)``; ``weights`` their weights, in the
+    same order.  The constructor raises ValueError otherwise, since lookups
+    bisect the indices.  Lookups and ``len`` work on the arrays; bitstrings
+    are built only when iterated.
     """
 
     __slots__ = ("indices", "weights", "num_qubits")
 
     def __init__(self, indices: np.ndarray, weights: np.ndarray, num_qubits: int) -> None:
+        if len(indices) != len(weights):
+            raise ValueError(f"{len(indices)} indices but {len(weights)} weights")
+        if len(indices) and (  # count_nonzero: half the cost of any() on a sample's few indices
+            indices[0] < 0 or indices[-1] >= 1 << num_qubits or np.count_nonzero(indices[1:] <= indices[:-1])
+        ):
+            raise ValueError(f"indices must be strictly ascending within [0, 2^{num_qubits})")
         self.indices = indices
         self.weights = weights
         self.num_qubits = num_qubits
@@ -286,8 +294,6 @@ def sample(state: Statevector, shots: int, rng: np.random.Generator) -> SampleCo
 
 
 def _key_index(key, dim: int) -> int:
-    if not isinstance(key, str):
-        raise ValueError(f"bitstring key must be a str, got {key!r}")
     bits_to_array(key, dim)  # raises ValueError naming a malformed key
     return bitstring_to_index(key)
 
@@ -302,16 +308,16 @@ def estimate_energy(
     energy, (minimum-energy bitstring with nonzero weight, its energy));
     energy ties resolve to the lexicographically smallest bitstring.
 
-    When ``weights`` is a ``BasisWeights`` (or counts over one) whose
-    nonzero-weight indices are exactly 0..2^m-1 in ascending order, as in
-    the usual exact distribution, the energies come from the block's
-    ``energy_table``, built once per block: the same ``block_energies``
-    call on the same bit matrix, so the same floats.  Any other input
-    (weights missing some basis state, such as most samples or a state with
-    a zero amplitude, indices in another order, or a string-keyed mapping)
-    has the energies of its own indices computed per call: looking them up
-    in the table would not be byte-identical, because a few-row
-    ``bits @ Q`` may take another BLAS path than the full matrix.
+    When ``weights`` is a ``BasisWeights`` (or counts over one) with
+    nonzero weight on all 2^m basis states, as in the usual exact
+    distribution, its indices are 0..2^m-1 in order (its invariant), and the
+    energies come from the block's ``energy_table``, built once per block:
+    the same ``block_energies`` call on the same bit matrix, so the same
+    floats.  Any other input (weights missing some basis state, such as most
+    samples or a state with a zero amplitude, or a string-keyed mapping) has
+    the energies of its own indices computed per call: looking them up in
+    the table would not be byte-identical, because a few-row ``bits @ Q``
+    may take another BLAS path than the full matrix.
     """
     if isinstance(weights, SampleCounts):
         weights = weights.counts
@@ -338,7 +344,7 @@ def estimate_energy(
     nonzero = w > 0.0
     if not nonzero.all():
         idx, w = idx[nonzero], w[nonzero]
-    if isinstance(weights, BasisWeights) and len(idx) == 1 << m and idx[0] == 0 and (np.diff(idx) == 1).all():
+    if isinstance(weights, BasisWeights) and len(idx) == 1 << m:
         energies = q.energy_table  # idx is exactly arange(2^m)
     else:
         energies = block_energies(q, ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64))

@@ -114,8 +114,11 @@ class CableQubo:
         y: ``block_energies`` of the bit matrix in ascending index order,
         formed in the 2^16-row chunks of ``_basis_chunks`` (one chunk up to
         16 variables).  Built on first use and kept for the block's
-        lifetime; read-only.
+        lifetime; read-only.  A block over ``BLOCK_DIM_CAP`` variables raises
+        ValueError before anything is allocated.
         """
+        if self.dim > BLOCK_DIM_CAP:
+            raise ValueError(f"dimension {self.dim} exceeds energy table cap {BLOCK_DIM_CAP}")
         table = np.empty(1 << self.dim)
         for start, bits in _basis_chunks(range(self.dim)):
             block_energies(self, bits, out=table[start:start + len(bits)])
@@ -134,9 +137,6 @@ class GlobalQubo:
     @property
     def dim(self) -> int:
         return self.q.shape[0]
-
-    def labels(self) -> list[str]:
-        return [f"{b.cable_id}:{lab}" for b in self.blocks for lab in b.vmap.labels()]
 
     def split(self, z: str) -> list[str]:
         """Slice a concatenated bitstring into per-block bitstrings."""
@@ -166,20 +166,18 @@ class IsingModel:
     constant: float
 
 
-def bits_to_array(z, dim: int) -> np.ndarray:
-    """Normalize a bitstring (str of 0/1 or int sequence) to a float vector."""
-    if isinstance(z, str):
-        if len(z) != dim:
-            raise ValueError(f"bitstring {z!r} has length {len(z)} != dimension {dim}")
-        if set(z) - {"0", "1"}:
-            raise ValueError(f"bitstring may contain only 0/1: {z!r}")
-        return np.frombuffer(z.encode("ascii"), dtype=np.uint8).astype(np.float64) - 48.0
-    arr = np.asarray(z, dtype=np.float64)
-    if arr.shape != (dim,):
-        raise ValueError(f"bit vector shape {arr.shape} != ({dim},)")
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ValueError("bit vector entries must be 0 or 1")
-    return arr
+def bits_to_array(z: str, dim: int) -> np.ndarray:
+    """The float 0/1 vector of a '0'/'1' bitstring of length ``dim``.
+
+    Raises ValueError for any other type, length or character.
+    """
+    if not isinstance(z, str):
+        raise ValueError(f"bitstring must be a str of 0/1, got {type(z).__name__} {z!r}")
+    if len(z) != dim:
+        raise ValueError(f"bitstring {z!r} has length {len(z)} != dimension {dim}")
+    if set(z) - {"0", "1"}:
+        raise ValueError(f"bitstring may contain only 0/1: {z!r}")
+    return np.frombuffer(z.encode("ascii"), dtype=np.uint8).astype(np.float64) - 48.0
 
 
 def variable_map(instance: Instance, cable: Cable) -> VariableMap:
@@ -323,8 +321,8 @@ def block_energies(q: CableQubo, bits: np.ndarray, out: np.ndarray | None = None
     return energies
 
 
-def qubo_energy(q: CableQubo, z) -> float:
-    """Evaluate z^T Q z + offset for one block."""
+def qubo_energy(q: CableQubo, z: str) -> float:
+    """Evaluate z^T Q z + offset for one block at the bitstring ``z``."""
     vec = bits_to_array(z, q.dim)
     return float(vec @ q.q @ vec + q.offset)
 
@@ -368,7 +366,7 @@ def to_ising(q: CableQubo) -> IsingModel:
     return IsingModel(h=h, j=j, constant=constant)
 
 
-def spins_from_bits(z, dim: int) -> np.ndarray:
+def spins_from_bits(z: str, dim: int) -> np.ndarray:
     """Map bits to spins: x=0 -> s=+1, x=1 -> s=-1."""
     return 1.0 - 2.0 * bits_to_array(z, dim)
 

@@ -42,8 +42,7 @@ class VqeConfig:
     """Solver settings; defaults match the benchmark protocol.
 
     ``shots=0`` is a sentinel for sampling-free runs on the exact measurement
-    distribution.  ``maxiter`` bounds objective evaluations.  ``theta_init``
-    is "uniform" (angles uniform in [0, 2pi)) or "zeros".
+    distribution.  ``maxiter`` bounds objective evaluations.
     """
 
     shots: int = 1000
@@ -51,7 +50,6 @@ class VqeConfig:
     maxiter: int = 100
     seed: int = 0
     ftol: float = 1e-6
-    theta_init: str = "uniform"
 
     def __post_init__(self) -> None:
         if self.shots < 0:
@@ -62,8 +60,6 @@ class VqeConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.ftol <= 0:
             raise ValueError("ftol must be positive")
-        if self.theta_init not in ("uniform", "zeros"):
-            raise ValueError("theta_init must be 'uniform' or 'zeros'")
 
 
 @dataclass
@@ -146,19 +142,16 @@ def minimize(
 ) -> tuple[np.ndarray, float, OptTrace]:
     """Budgeted Nelder-Mead: drive ``_nelder_mead`` for at most ``config.maxiter`` evaluations.
 
-    The start point is uniform in [0, 2pi) per angle or all zeros
-    (``config.theta_init``).  Each point the generator asks for is evaluated
-    once and its value sent back; the run ends when the budget is spent or
-    the generator reports convergence (``config.ftol``).  Deterministic given
-    (config, rng state).  Returns the first point that reached the lowest
-    value, that value, and the evaluation trace.
+    The start point is uniform in [0, 2pi) per angle.  Each point the
+    generator asks for is evaluated once and its value sent back; the run
+    ends when the budget is spent or the generator reports convergence
+    (``config.ftol``).  Deterministic given (config, rng state).  Returns the
+    first point that reached the lowest value, that value, and the
+    evaluation trace.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    if config.theta_init == "uniform":
-        x0 = rng.random(dim) * 2.0 * np.pi
-    else:
-        x0 = np.zeros(dim)
+    x0 = rng.random(dim) * 2.0 * np.pi
 
     trace = OptTrace()
     best_x, best_f = x0, np.inf
@@ -218,24 +211,22 @@ def vqe_solve(q: CableQubo, config: VqeConfig, instance: Instance) -> SolveResul
     theta_rng = np.random.default_rng(theta_stream)
     sample_rng = np.random.default_rng(sample_stream)
 
-    best_bits: str | None = None
-    best_energy = np.inf
+    best = (np.inf, "")  # (energy, bitstring): lower energy, then the smaller bitstring
 
     def objective(theta: np.ndarray) -> float:
-        nonlocal best_bits, best_energy
+        nonlocal best
         state = prepare_state(spec, theta)
         if config.shots == 0:
             weights = exact_distribution(state)
         else:
             weights = sample(state, config.shots, sample_rng)
         e_exp, (bits, energy) = estimate_energy(weights, q)
-        if energy < best_energy or (energy == best_energy and (best_bits is None or bits < best_bits)):
-            best_energy = energy
-            best_bits = bits
+        best = min(best, (energy, bits))
         return e_exp
 
     _, e_star, trace = minimize(objective, spec.parameter_count, config, theta_rng)
-    assert best_bits is not None
+    _, best_bits = best
+    assert best_bits  # empty only if every sampled energy was NaN
     feasibility = check_feasibility(instance, cable, best_bits)
     objective_value = (
         chosen_objective(instance, cable, best_bits) if feasibility.feasible_path else None

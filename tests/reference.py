@@ -258,10 +258,7 @@ def parent_minimize(fn, dim, config, rng):
             best_x = x.copy()
         return value
 
-    if config.theta_init == "uniform":
-        x0 = rng.random(dim) * 2.0 * np.pi
-    else:
-        x0 = np.zeros(dim)
+    x0 = rng.random(dim) * 2.0 * np.pi
 
     vertices = [x0]
     values = []

@@ -226,6 +226,15 @@ class TestSweepAndReport:
         assert "line 3" in captured.err and field in captured.err
         assert captured.out == ""
 
+    def test_report_rejects_a_repeated_key(self, tmp_path, capsys):
+        path = tmp_path / "twice.csv"
+        rows = [CSV_HEADER, self.GOOD_ROW, "layout-1,c2,1,0,true,10,10,10,0", "layout-1,c1,1.0,0,false,12,,10,"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "line 4: repeats the (layout, cable_id, kappa, seed) of line 2" in captured.err
+        assert captured.out == ""
+
     def test_missing_output_directory_fails_before_the_grid(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dir" / "x.csv"
         code = main(["sweep", "layout-1", "--kappas", "1", "--seeds", "3", "--out", str(out),
@@ -277,6 +286,16 @@ class TestSweepAndReport:
         assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
         captured = capsys.readouterr()
         assert "kappa must be positive and finite" in captured.err
+        assert "done" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("kappas, entry", [("1,1.0", "entry 2 (1.0)"), ("0.5,1,2,1.00000000000001", "entry 4")])
+    def test_repeated_kappa_fails_before_the_first_cell(self, kappas, entry, tmp_path, capsys):
+        args = ["sweep", "layout-1", "--kappas", kappas, "--seeds", "1", "--shots", "50", "--maxiter", "8"]
+        assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert f"kappa {entry}" in captured.err and "repeats an earlier entry" in captured.err
         assert "done" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "r.csv").exists()

@@ -220,6 +220,20 @@ class TestBasisWeights:
         with pytest.raises(KeyError):
             weights["110"]
 
+    @pytest.mark.parametrize(
+        "indices, weights, match",
+        [
+            ([6, 1], [0.5, 0.5], "strictly ascending"),  # would iterate but fail every lookup
+            ([-1, 2], [0.5, 0.5], "strictly ascending"),
+            ([1, 8], [0.5, 0.5], r"within \[0, 2\^3\)"),
+            ([1, 2], [1.0], "2 indices but 1 weights"),
+        ],
+        ids=["out-of-order", "negative", "past-the-range", "length-mismatch"],
+    )
+    def test_rejects_a_broken_invariant(self, indices, weights, match):
+        with pytest.raises(ValueError, match=match):
+            BasisWeights(np.array(indices), np.array(weights), 3)
+
     def test_len_builds_no_bitstrings(self, weights, monkeypatch):
         def forbidden(*args):
             raise AssertionError("bitstring built")
@@ -416,23 +430,20 @@ class TestEnergyTablePath:
 
     @pytest.mark.parametrize("reps, theta", [(1, np.zeros(16)), (0, np.array([0.0, 1.0] * 4))])
     def test_subset_distribution_bypasses_the_table(self, reps, theta):
-        # All-zero angles are what theta_init="zeros" starts from.
+        # All-zero angles give exactly-zero amplitudes, so some basis states have no weight.
         q = random_qubo(8, 8)
         dist = exact_distribution(prepare_state(AnsatzSpec(8, reps), theta))
         assert len(dist) < 1 << 8
         assert_same_as_parent_formula(dist, q)
         assert "energy_table" not in vars(q)
 
-    def test_full_index_weights_out_of_order_bypass_the_table(self):
-        q = random_qubo(5, 5)
+    def test_full_index_weights_out_of_order_are_rejected(self):
         dist = exact_distribution(prepare_state(AnsatzSpec(5, 1), np.linspace(0.2, 2.7, 10)))
         order = np.random.default_rng(1).permutation(32)
-        shuffled = quantum.BasisWeights(dist.indices[order], dist.weights[order], 5)
-        duplicated = quantum.BasisWeights(np.sort(np.r_[0, dist.indices[:-1]]), dist.weights, 5)
-        for weights in (shuffled, duplicated):
-            assert len(weights.indices) == 32
-            assert_same_as_parent_formula(weights, q)
-        assert "energy_table" not in vars(q)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            quantum.BasisWeights(dist.indices[order], dist.weights[order], 5)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            quantum.BasisWeights(np.sort(np.r_[0, dist.indices[:-1]]), dist.weights, 5)
 
     def test_full_string_mapping_bypasses_the_table(self):
         q = random_qubo(6, 6)

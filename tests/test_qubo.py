@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from qcroute import (
     scale_penalties,
     to_ising,
 )
+from qcroute import qubo
 from qcroute.qubo import _basis_bits, block_energies, ising_document, qubo_document, spins_from_bits, variable_map
 from conftest import TRIANGLE_DOC
 from reference import parent_energy_table, reference_energy
-from test_oracle import RING_18_CHORDS, baseline_qubo, chorded_ring
+from test_oracle import RING_18_CHORDS, baseline_qubo, chorded_ring, zero_qubo
 
 
 def make_qubo(instance, cable_id, kappa=1.0):
@@ -195,9 +197,15 @@ class TestQuboEnergy:
         with pytest.raises(ValueError, match="0/1"):
             qubo_energy(q, "11x1")
 
-    def test_accepts_int_sequence(self, triangle):
+    @pytest.mark.parametrize(
+        "z, name", [([1, 1, 0, 1], "list"), (np.array([1.0, 1.0, 0.0, 1.0]), "ndarray")], ids=["list", "ndarray"]
+    )
+    def test_rejects_non_string_bits(self, triangle, z, name):
         q = make_qubo(triangle, "c1")
-        assert qubo_energy(q, [1, 1, 0, 1]) == 2.0
+        with pytest.raises(ValueError, match=f"got {name}"):
+            qubo_energy(q, z)
+        with pytest.raises(ValueError, match=f"got {name}"):
+            spins_from_bits(z, 4)
 
 
 def shifted_bits(m, shifts):
@@ -234,6 +242,14 @@ class TestEnergyTable:
         q = baseline_qubo(ring, ring.cables[0])
         assert q.dim == 14 + len(chords)
         assert q.energy_table.tobytes() == parent_energy_table(q).tobytes()
+
+    def test_over_the_cap_raises_before_allocating(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("table allocated")
+
+        monkeypatch.setattr(qubo, "np", SimpleNamespace(empty=forbidden))
+        with pytest.raises(ValueError, match=f"exceeds energy table cap {qubo.BLOCK_DIM_CAP}"):
+            zero_qubo(qubo.BLOCK_DIM_CAP + 1).energy_table
 
     def test_built_once_and_read_only(self, triangle):
         q = make_qubo(triangle, "c1")
@@ -385,6 +401,6 @@ class TestVariableMap:
             vmap = variable_map(layout1, cable)
             assert vmap.segment_vars == tuple(s.id for s in layout1.segments)
             assert vmap.node_vars == tuple(sorted(vmap.node_vars))
-            assert set(vmap.node_vars) == set(layout1.node_ids()) - {cable.source, cable.terminal}
+            assert set(vmap.node_vars) == {n.id for n in layout1.nodes} - {cable.source, cable.terminal}
             assert vmap.dim == layout1.block_dim(cable)
             assert len(set(vmap.labels())) == vmap.dim

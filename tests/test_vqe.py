@@ -30,7 +30,6 @@ class TestVqeConfig:
         config = VqeConfig()
         assert (config.shots, config.reps, config.maxiter) == (1000, 1, 100)
         assert config.ftol == 1e-6
-        assert config.theta_init == "uniform"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -38,7 +37,6 @@ class TestVqeConfig:
             {"shots": -1},
             {"maxiter": 0},
             {"ftol": 0.0},
-            {"theta_init": "sideways"},
         ],
     )
     def test_invalid(self, kwargs):
@@ -88,13 +86,6 @@ class TestMinimize:
         assert len(trace.values) == 1
         assert value == trace.values[0]
         assert theta.shape == (6,)
-
-    def test_zero_init(self):
-        config = VqeConfig(maxiter=1, seed=0, theta_init="zeros")
-        _, value, _ = minimize(
-            lambda x: float(np.sum((x - 2.0) ** 2)), 3, config, np.random.default_rng(0)
-        )
-        assert value == 12.0  # objective at the all-zeros start
 
     OBJECTIVES = {
         "constant": (4, 1e-6, lambda x: 3.25),  # converges at the first check, 35 evaluations
