@@ -27,7 +27,7 @@ from .metrics import (
     summary_table,
 )
 from .oracle import brute_force_min, shortest_path_opt
-from .qubo import ising_document, qubo_document
+from .qubo import PenaltyWeights, ising_document, qubo_document
 from .vqe import VqeConfig, cable_block, solve_cable
 
 __all__ = ["main", "main_entry"]
@@ -99,6 +99,10 @@ def _result_line(cable_id: str, feasible: bool, route, objective, energy: float)
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args.path)
+    # Every method checks the solver flags and the kappa (PenaltyWeights holds
+    # its rule) before the first cable, also those it does not use.
+    config = _solver_config(args)
+    PenaltyWeights(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, kappa=args.kappa)
     if args.cable:
         wanted = {instance.cable(args.cable).id}
     else:
@@ -118,7 +122,7 @@ def cmd_solve(args) -> int:
             feasible = bool(solution.route)
             route, objective, energy = solution.route, solution.objective if feasible else None, solution.energy
         else:
-            result = solve_cable(instance, index, args.kappa, _solver_config(args))
+            result = solve_cable(instance, index, args.kappa, config)
             feasible = result.feasibility.feasible_path
             route, objective, energy = result.feasibility.decoded_route or (), result.objective, result.energy
         lines.append(_result_line(cable.id, feasible, route, objective, energy))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Cable, Instance, incident_segments
-from .qubo import BLOCK_DIM_CAP, CableQubo, _basis_chunks, block_energies, variable_map
+from .qubo import BLOCK_DIM_CAP, CableQubo, _chunk_energies, variable_map
 
 __all__ = [
     "Violation",
@@ -145,10 +145,12 @@ def length_cap_ok(instance: Instance, cable: Cable, z: str) -> bool | None:
 def brute_force_min(q: CableQubo, instance: Instance | None = None) -> OracleSolution:
     """Exhaustive minimum of a block over all 2^dim bitstrings.
 
-    Enumeration is in lexicographic bitstring order so ties resolve to the
-    lexicographically smallest minimizer.  With ``instance`` given, the
-    solution also carries the routing objective and decoded route (empty when
-    the minimizer is not a single path).
+    Enumeration is in lexicographic bitstring order, 2^12 states per chunk
+    of ``_chunk_energies`` into reused buffers (about 1.3 MiB at 20
+    variables), and a chunk's minimum replaces the best only when strictly
+    lower, so ties resolve to the lexicographically smallest minimizer.
+    With ``instance`` given, the solution also carries the routing objective
+    and decoded route (empty when the minimizer is not a single path).
     """
     if q.dim > BLOCK_DIM_CAP:
         raise ValueError(f"dimension {q.dim} exceeds brute-force cap {BLOCK_DIM_CAP}")
@@ -156,8 +158,7 @@ def brute_force_min(q: CableQubo, instance: Instance | None = None) -> OracleSol
     # lexicographic order.
     best_energy = np.inf
     best_index = 0
-    for start, bits in _basis_chunks(range(q.dim - 1, -1, -1)):
-        energies = block_energies(q, bits)
+    for start, energies in _chunk_energies(q, range(q.dim - 1, -1, -1)):
         arg = int(np.argmin(energies))
         if energies[arg] < best_energy:
             best_energy = float(energies[arg])

@@ -312,8 +312,8 @@ def estimate_energy(
     nonzero weight on all 2^m basis states, as in the usual exact
     distribution, its indices are 0..2^m-1 in order (its invariant), and the
     energies come from the block's ``energy_table``, built once per block:
-    the same ``block_energies`` call on the same bit matrix, so the same
-    floats.  Any other input (weights missing some basis state, such as most
+    ``block_energies``' expression on the same bit matrix, formed 2^12 rows
+    at a time, which gives the same floats.  Any other input (weights missing some basis state, such as most
     samples or a state with a zero amplitude, or a string-keyed mapping) has
     the energies of its own indices computed per call: looking them up in
     the table would not be byte-identical, because a few-row ``bits @ Q``

@@ -46,7 +46,8 @@ __all__ = [
 
 # Largest block any solver takes: a 2^24-amplitude float64 statevector (128 MiB;
 # a solve adds the probabilities and the multinomial counts, no state-sized
-# scratch) or 2^24 enumerated bitstrings (energies formed 2^16 rows at a time).
+# scratch) or 2^24 enumerated bitstrings (energies formed 2^12 rows at a time in
+# about 1.5 MiB of reused buffers; the energy table itself is 128 MiB).
 BLOCK_DIM_CAP = 24
 
 
@@ -111,17 +112,19 @@ class CableQubo:
         """Energies of all 2^dim basis states, indexed by basis index.
 
         Entry y is the energy of the bitstring whose variable i is bit i of
-        y: ``block_energies`` of the bit matrix in ascending index order,
-        formed in the 2^16-row chunks of ``_basis_chunks`` (one chunk up to
-        16 variables).  Built on first use and kept for the block's
-        lifetime; read-only.  A block over ``BLOCK_DIM_CAP`` variables raises
-        ValueError before anything is allocated.
+        y: ``block_energies``' expression over the bit matrix in ascending
+        index order, written straight into the table by ``_chunk_energies``
+        2^12 rows at a time (one chunk up to 12 variables), so a build holds
+        the table plus about 1.3 MiB at 20 variables.  Built on first use
+        and kept for the block's lifetime; read-only.  A block over
+        ``BLOCK_DIM_CAP`` variables raises ValueError before anything is
+        allocated.
         """
         if self.dim > BLOCK_DIM_CAP:
             raise ValueError(f"dimension {self.dim} exceeds energy table cap {BLOCK_DIM_CAP}")
         table = np.empty(1 << self.dim)
-        for start, bits in _basis_chunks(range(self.dim)):
-            block_energies(self, bits, out=table[start:start + len(bits)])
+        for _ in _chunk_energies(self, range(self.dim), table):
+            pass
         table.flags.writeable = False
         return table
 
@@ -286,29 +289,47 @@ def _basis_bits(columns: Sequence[int], width: int) -> np.ndarray:
     return bits
 
 
-_CHUNK_BITS = 16  # counter bits per chunk of _basis_chunks: 2^16 rows
+_CHUNK_BITS = 12  # counter bits per chunk of _chunk_energies: 2^12 rows
 
 
-def _basis_chunks(columns: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """The 0/1 float bit matrix of all 2^k counters, 2^16 rows at a time.
+def _chunk_energies(
+    q: CableQubo, columns: Sequence[int], table: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Energies of all 2^dim counters, 2^12 rows at a time.
 
-    k is ``len(columns)``, a permutation of the k variables: row r of the
+    ``columns`` is a permutation of the block's variables: row r of the
     chunk starting at counter ``start`` is counter ``start + r``, whose bit
-    j is in column ``columns[j]``.  The low 16 counter bits repeat in every
-    chunk, so their matrix is built once; per chunk only the columns of the
-    higher bits, constant within a chunk, are refilled from ``start``.
-    Every chunk is the same array with the same shape, so every
-    ``bits @ Q`` takes the same BLAS path; it is overwritten by the next
-    chunk.  Yields (start, bits).
+    j is in column ``columns[j]``.  The low 12 counter bits repeat in every
+    chunk, so their bit matrix is built once per call; per chunk only the
+    columns of the higher bits, constant within a chunk, are refilled from
+    ``start``.  Each chunk's energies are ``block_energies``' expression
+    written into buffers allocated once per call (a (2^12, dim) work matrix
+    and, without ``table``, a 2^12 energies vector), so a 20-variable call
+    holds about 1.3 MiB and the chunk's operands stay in cache.  Every chunk
+    has the same shape, so every ``bits @ Q`` takes the same BLAS path; 2^12
+    is the fewest rows that keep the floats of one product over all rows,
+    since below it OpenBLAS takes a small-matrix path whose floats differ
+    on 18-variable blocks.
+
+    With ``table`` (shape (2^dim,)) the energies of counter y go to
+    ``table[y]``.  Yields (start, energies of the chunk); the energies
+    vector without ``table`` is overwritten by the next chunk.
     """
     columns = list(columns)
     low = min(len(columns), _CHUNK_BITS)
     bits = _basis_bits(columns[:low], len(columns))
+    work = np.empty_like(bits)
+    energies = np.empty(len(bits))
     high_columns = columns[low:]
     high_shifts = np.arange(low, len(columns))
-    for start in range(0, 1 << len(columns), 1 << low):
+    for start in range(0, 1 << len(columns), len(bits)):
         bits[:, high_columns] = (start >> high_shifts) & 1
-        yield start, bits
+        out = energies if table is None else table[start:start + len(bits)]
+        np.matmul(bits, q.q, out=work)
+        work *= bits
+        work.sum(axis=1, out=out)
+        out += q.offset
+        yield start, out
 
 
 def block_energies(q: CableQubo, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

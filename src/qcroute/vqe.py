@@ -54,6 +54,8 @@ class VqeConfig:
     def __post_init__(self) -> None:
         if self.shots < 0:
             raise ValueError("shots must be nonnegative (0 = exact distribution)")
+        if self.reps < 0:
+            raise ValueError(f"reps must be nonnegative, got {self.reps}")
         if self.maxiter < 1:
             raise ValueError("maxiter must be positive")
         if self.seed < 0:

@@ -125,12 +125,25 @@ class TestSolve:
     def test_bad_flag_exit_2(self, triangle_path):
         assert main(["solve", triangle_path, "--method", "annealer"]) == 2
 
-    @pytest.mark.parametrize("method, kappa", [("brute", "nan"), ("vqe", "inf")])
+    @pytest.mark.parametrize("method, kappa", [("brute", "nan"), ("vqe", "inf"), ("dijkstra", "nan")])
     def test_non_finite_kappa_exit_2(self, method, kappa, capsys):
         assert main(["solve", "layout-1", "--method", method, "--kappa", kappa, "--maxiter", "5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "kappa" in captured.err
+
+    @pytest.mark.parametrize("method", ["vqe", "brute", "dijkstra"])
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--shots", "-5", "--maxiter", "0"], "shots"), (["--maxiter", "0"], "maxiter"),
+         (["--seed", "-1"], "seed"), (["--reps", "-1"], "reps")],
+        ids=["shots", "maxiter", "seed", "reps"],
+    )
+    def test_invalid_solver_flag_exit_2_for_every_method(self, method, flags, field, capsys):
+        assert main(["solve", "layout-1", "--method", method, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
 
     def test_vqe_lines_come_from_the_library_solve(self, layout1, capsys):
         assert main(["solve", "layout-1", "--seed", "7", "--shots", "100", "--maxiter", "20"]) == 0

@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,16 +37,16 @@ def baseline_qubo(instance, cable, kappa=1.0):
 RING_18_CHORDS = [(0, 3), (1, 5), (2, 6), (4, 7)]
 
 
-def chorded_ring(chords):
-    """8 nodes on a ring plus ``chords``, one cable from v0 to v5.
+def chorded_ring(chords, nodes=8):
+    """``nodes`` (at least 6) on a ring plus ``chords``, one cable from v0 to v5.
 
-    Its block has 8 + len(chords) segment variables and 6 internal-node
-    variables.
+    Its block has nodes + len(chords) segment variables and nodes - 2
+    internal-node variables.
     """
-    pairs = [(i, (i + 1) % 8) for i in range(8)] + list(chords)
+    pairs = [(i, (i + 1) % nodes) for i in range(nodes)] + list(chords)
     doc = {
-        "name": f"ring-{len(pairs) + 6}",
-        "nodes": [{"id": f"v{i}"} for i in range(8)],
+        "name": f"ring-{len(pairs) + nodes - 2}",
+        "nodes": [{"id": f"v{i}"} for i in range(nodes)],
         "segments": [
             {"id": f"e{k}", "u": f"v{a}", "v": f"v{b}", "length": 1.0 + 0.3 * (k % 5)}
             for k, (a, b) in enumerate(pairs)
@@ -139,13 +140,30 @@ class TestBruteForce:
         assert solution.bitstring == "00000"
         assert solution.energy == 0.0
 
+    def test_zero_block_ties_across_chunks_resolve_to_all_zeros(self):
+        # 14 variables: four 2^12-row chunks, every state tied at 0.
+        solution = brute_force_min(zero_qubo(14))
+        assert (solution.bitstring, solution.energy) == ("0" * 14, 0.0)
+
+    def test_tie_in_a_later_chunk_keeps_the_earlier_minimizer(self):
+        # Variables 0 and 1 are the top counter bits of a 14-variable block,
+        # so the two minimizers 01... and 10... (energy -1 each, both bits set
+        # gives 0) lie in the second and third 2^12-row chunks.
+        matrix = np.zeros((14, 14))
+        matrix[0, 0] = matrix[1, 1] = -1.0
+        matrix[0, 1] = matrix[1, 0] = 1.0
+        q = replace(zero_qubo(14), q=matrix)
+        assert qubo_energy(q, "10" + "0" * 12) == -1.0
+        solution = brute_force_min(q)
+        assert (solution.bitstring, solution.energy) == ("01" + "0" * 12, -1.0)
+
     def test_dim_cap(self):
         with pytest.raises(ValueError, match="cap"):
             brute_force_min(zero_qubo(BRUTE_FORCE_DIM_CAP + 1))
 
     def test_equals_parent_shift_matrix_enumeration(self, layout2):
-        # 12 segments + 6 internal nodes: the 18-variable block runs four
-        # 2^16-row chunks.
+        # 12 segments + 6 internal nodes: the 18-variable block runs 64
+        # 2^12-row chunks.
         ring = chorded_ring(RING_18_CHORDS)
         blocks = [baseline_qubo(ring, ring.cables[0]), zero_qubo(17)]
         blocks += [baseline_qubo(layout2, cable, kappa) for cable in layout2.cables for kappa in (0.25, 1.0)]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,10 +18,10 @@ from qcroute import (
     scale_penalties,
     to_ising,
 )
-from qcroute import qubo
+from qcroute import brute_force_min, qubo
 from qcroute.qubo import _basis_bits, block_energies, ising_document, qubo_document, spins_from_bits, variable_map
 from conftest import TRIANGLE_DOC
-from reference import parent_energy_table, reference_energy
+from reference import parent_brute_force_min, parent_energy_table, reference_energy
 from test_oracle import RING_18_CHORDS, baseline_qubo, chorded_ring, zero_qubo
 
 
@@ -226,6 +227,51 @@ class TestBasisBits:
         assert np.array_equal(_basis_bits([4, 3, 2], 5), expected)
 
 
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkEnergies:
+    @pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize(
+        "nodes, chords",
+        [(7, []), (7, [(0, 3)]), (8, []), (8, RING_18_CHORDS[:1]), (8, RING_18_CHORDS[:2])],
+        ids=["12q", "13q", "14q", "15q", "16q"],
+    )
+    def test_small_blocks_equal_the_parent_kernels(self, nodes, chords, kappa):
+        # 12 to 16 variables: 1 to 16 chunks of 2^12 rows, whose M*N*K (at
+        # most 2^12 * 16 * 16) is near the size below which OpenBLAS takes
+        # its small-matrix path; the references form one product of all rows.
+        ring = chorded_ring(chords, nodes)
+        q = baseline_qubo(ring, ring.cables[0], kappa)
+        assert q.dim == 2 * nodes - 2 + len(chords)
+        assert q.energy_table.tobytes() == parent_energy_table(q).tobytes()
+        solution = brute_force_min(q)
+        parent_bits, parent_energy = parent_brute_force_min(q)
+        assert (solution.bitstring, repr(solution.energy)) == (parent_bits, repr(parent_energy))
+
+    def twenty_variable_block(self):
+        ring = chorded_ring(RING_18_CHORDS + [(0, 4), (3, 6)])
+        q = baseline_qubo(ring, ring.cables[0])
+        assert q.dim == 20
+        return q
+
+    def test_twenty_variable_brute_force_peak_is_the_reused_buffers(self):
+        q = self.twenty_variable_block()
+        assert traced_peak(lambda: brute_force_min(q)) < 2 << 20
+
+    def test_twenty_variable_table_peak_is_the_table_plus_reused_buffers(self):
+        q = self.twenty_variable_block()
+        table = 8 << 20
+        assert traced_peak(lambda: q.energy_table) < table + (2 << 20)
+
+
 class TestEnergyTable:
     @pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
     def test_bytes_equal_energies_of_the_shifted_bit_matrix(self, layout1, layout2, kappa):
@@ -237,7 +283,7 @@ class TestEnergyTable:
 
     @pytest.mark.parametrize("chords", [RING_18_CHORDS[:3], RING_18_CHORDS, RING_18_CHORDS + [(0, 4), (3, 6)]])
     def test_chunked_table_bytes_equal_one_product(self, chords):
-        # 17, 18 and 20 variables: two to sixteen 2^16-row chunks.
+        # 17, 18 and 20 variables: 32 to 256 2^12-row chunks.
         ring = chorded_ring(chords)
         q = baseline_qubo(ring, ring.cables[0])
         assert q.dim == 14 + len(chords)

@@ -35,6 +35,7 @@ class TestVqeConfig:
         "kwargs",
         [
             {"shots": -1},
+            {"reps": -1},
             {"maxiter": 0},
             {"ftol": 0.0},
         ],
