@@ -18,6 +18,7 @@ import sys
 
 from .instance import Instance, bundled_layouts, parse_instance
 from .metrics import (
+    _check_kappa,
     _fmt,
     build_report,
     plot_tables,
@@ -27,7 +28,7 @@ from .metrics import (
     summary_table,
 )
 from .oracle import brute_force_min, shortest_path_opt
-from .qubo import PenaltyWeights, ising_document, qubo_document
+from .qubo import ising_document, qubo_document
 from .vqe import VqeConfig, cable_block, solve_cable
 
 __all__ = ["main", "main_entry"]
@@ -99,10 +100,10 @@ def _result_line(cable_id: str, feasible: bool, route, objective, energy: float)
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args.path)
-    # Every method checks the solver flags and the kappa (PenaltyWeights holds
-    # its rule) before the first cable, also those it does not use.
+    # Every method checks the solver flags and the kappa before the first
+    # cable, also those it does not use.
     config = _solver_config(args)
-    PenaltyWeights(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, kappa=args.kappa)
+    _check_kappa(instance, args.kappa)
     if args.cable:
         wanted = {instance.cable(args.cable).id}
     else:

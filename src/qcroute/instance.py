@@ -63,8 +63,9 @@ class Cable:
     """One routing demand: source, terminal, and per-segment layout costs.
 
     ``costs`` is the canonical internal form; parsing a scalar ``alpha``
-    expands it eagerly.  ``max_length`` is optional metadata used only by the
-    post-hoc length check (length is otherwise priced into the costs).
+    expands it eagerly.  ``max_length`` is optional schema metadata: it is
+    parsed, validated and written back by ``render_instance``, and no solver
+    or oracle reads it (length is priced into the costs).
     """
 
     id: str

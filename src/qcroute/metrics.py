@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 from .instance import Instance
 from .oracle import shortest_path_opt
-from .qubo import PenaltyWeights
+from .qubo import default_penalties, scale_penalties
 from .vqe import VqeConfig, cable_subseed, solve_decomposed
 
 __all__ = [
@@ -127,6 +127,13 @@ def opt_gap_stats(
     return mean, quartiles
 
 
+def _check_kappa(instance: Instance, kappa: float) -> None:
+    """Raise ValueError unless ``kappa`` scales every cable's baseline
+    penalties to valid weights: positive and finite, with finite etas."""
+    for cable in instance.cables:
+        scale_penalties(default_penalties(instance, cable), kappa)
+
+
 def _sweep_cell(args) -> list[RunRecord]:
     instance, kappa, run_index, config, oracle_objectives = args
     assignment = solve_decomposed(
@@ -168,11 +175,12 @@ def run_sweep(
 
     One seed index drives all kappas (common random numbers across scales);
     classical optima are computed once per cable.  Cells are independent and
-    may run in ``jobs`` parallel processes; records are reduced in sorted
-    order either way, so the report is identical for any job count.
-    ``progress`` is called with (kappa, seed) as each cell completes.  A
-    kappa that is not positive and finite, or repeats an earlier one, raises
-    ValueError before the first cell.
+    may run in up to ``jobs`` parallel processes, never more than there
+    are cells; records are reduced in sorted order either way, so the
+    report is identical for any job count.  ``progress`` is called with
+    (kappa, seed) as each cell completes.  A kappa that is not positive and
+    finite, scales some cable's penalties past the float range, or repeats
+    an earlier one raises ValueError naming the entry before the first cell.
     """
     if not kappas:
         raise ValueError("kappas must be nonempty")
@@ -181,8 +189,11 @@ def run_sweep(
     if jobs < 1:
         raise ValueError("jobs must be positive")
     seen = set()  # kappas as the records key them, at 12 significant digits
-    for position, kappa in enumerate(kappas, start=1):  # PenaltyWeights holds the kappa rule
-        PenaltyWeights(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, kappa=float(kappa))
+    for position, kappa in enumerate(kappas, start=1):
+        try:
+            _check_kappa(instance, float(kappa))
+        except ValueError as exc:
+            raise ValueError(f"kappa entry {position} ({kappa!r}): {exc}") from None
         if _round12(kappa) in seen:
             raise ValueError(f"kappa entry {position} ({kappa!r}) repeats an earlier entry")
         seen.add(_round12(kappa))
@@ -195,9 +206,10 @@ def run_sweep(
         for run_index in range(num_seeds)
     ]
     chunks = []
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
+    workers = min(jobs, len(cells))  # the pool starts every worker at once
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
     with pool:
-        for cell, chunk in zip(cells, (pool.map if jobs > 1 else map)(_sweep_cell, cells)):
+        for cell, chunk in zip(cells, (pool.map if workers > 1 else map)(_sweep_cell, cells)):
             chunks.append(chunk)
             if progress is not None:
                 progress(cell[1], cell[2])

@@ -28,7 +28,6 @@ __all__ = [
     "shortest_path_opt",
     "route_bitstring",
     "chosen_objective",
-    "length_cap_ok",
 ]
 
 
@@ -127,19 +126,6 @@ def chosen_objective(instance: Instance, cable: Cable, z: str) -> float:
     """Plain routing cost of the chosen segments (no penalties)."""
     d = instance.num_segments
     return sum(cable.costs[s.id] for s, ch in zip(instance.segments, z[:d]) if ch == "1")
-
-
-def length_cap_ok(instance: Instance, cable: Cable, z: str) -> bool | None:
-    """Post-hoc length check: total chosen length within the cable's cap.
-
-    Returns None when the cable has no cap.  Length is otherwise priced into
-    the costs, so this is informational only.
-    """
-    if cable.max_length is None:
-        return None
-    d = instance.num_segments
-    total = sum(s.length for s, ch in zip(instance.segments, z[:d]) if ch == "1")
-    return total <= cable.max_length
 
 
 def brute_force_min(q: CableQubo, instance: Instance | None = None) -> OracleSolution:

@@ -28,11 +28,11 @@ statevector index (index = sum_i z_i * 2^i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .qubo import CableQubo, bits_to_array, block_energies
+from .qubo import CableQubo, block_energies
 
 __all__ = [
     "AnsatzSpec",
@@ -122,9 +122,9 @@ class BasisWeights(Mapping[str, float]):
 
 @dataclass(frozen=True)
 class SampleCounts:
-    """Measured bitstring counts; values sum to ``shots``."""
+    """Measured counts per basis state; the weights sum to ``shots``."""
 
-    counts: Mapping[str, int]
+    counts: BasisWeights
     shots: int
 
 
@@ -293,46 +293,36 @@ def sample(state: Statevector, shots: int, rng: np.random.Generator) -> SampleCo
     return SampleCounts(BasisWeights(nonzero, counts_vec[nonzero], state.num_qubits), shots)
 
 
-def _key_index(key, dim: int) -> int:
-    bits_to_array(key, dim)  # raises ValueError naming a malformed key
-    return bitstring_to_index(key)
-
-
-def estimate_energy(
-    weights: Union[SampleCounts, Mapping[str, float]], q: CableQubo
-) -> tuple[float, tuple[str, float]]:
+def estimate_energy(weights: BasisWeights | SampleCounts, q: CableQubo) -> tuple[float, tuple[str, float]]:
     """Weighted QUBO energy plus the best observed bitstring.
 
-    ``weights`` is either sampled counts or an exact distribution; weights
+    ``weights`` is a ``BasisWeights`` (an exact distribution) or sampled
+    counts over one; any other type raises ValueError naming it.  Weights
     must be finite and nonnegative with a positive total.  Returns (expected
     energy, (minimum-energy bitstring with nonzero weight, its energy));
     energy ties resolve to the lexicographically smallest bitstring.
 
-    When ``weights`` is a ``BasisWeights`` (or counts over one) with
-    nonzero weight on all 2^m basis states, as in the usual exact
-    distribution, its indices are 0..2^m-1 in order (its invariant), and the
-    energies come from the block's ``energy_table``, built once per block:
-    ``block_energies``' expression on the same bit matrix, formed 2^12 rows
-    at a time, which gives the same floats.  Any other input (weights missing some basis state, such as most
-    samples or a state with a zero amplitude, or a string-keyed mapping) has
-    the energies of its own indices computed per call: looking them up in
-    the table would not be byte-identical, because a few-row ``bits @ Q``
-    may take another BLAS path than the full matrix.
+    With nonzero weight on all 2^m basis states, as in the usual exact
+    distribution, the indices are 0..2^m-1 in order (the ``BasisWeights``
+    invariant), and the energies come from the block's ``energy_table``,
+    built once per block: ``block_energies``' expression on the same bit
+    matrix, formed 2^12 rows at a time, which gives the same floats.  Weights
+    missing some basis state (most samples, or a state with a zero amplitude)
+    have the energies of their own indices computed per call: looking them
+    up in the table would not be byte-identical, because a ``bits @ Q`` of
+    few rows may take another BLAS path than the full matrix.
     """
     if isinstance(weights, SampleCounts):
         weights = weights.counts
+    if not isinstance(weights, BasisWeights):
+        raise ValueError(f"weights must be BasisWeights or SampleCounts over them, got {type(weights).__name__}")
     if not weights:
         raise ValueError("no weighted bitstrings to estimate from")
     m = q.dim
-    if isinstance(weights, BasisWeights):
-        if weights.num_qubits != m:
-            raise ValueError(f"{weights.num_qubits}-qubit weights != block dimension {m}")
-        idx = weights.indices
-        w = np.asarray(weights.weights, dtype=np.float64)
-    else:
-        keys = list(weights)
-        idx = np.array([_key_index(key, m) for key in keys], dtype=np.int64)
-        w = np.array([float(weights[key]) for key in keys])
+    if weights.num_qubits != m:
+        raise ValueError(f"{weights.num_qubits}-qubit weights != block dimension {m}")
+    idx = weights.indices
+    w = np.asarray(weights.weights, dtype=np.float64)
     bad = ~((w >= 0.0) & (w < np.inf))  # NaN fails both comparisons
     if bad.any():
         pos = int(np.argmax(bad))
@@ -344,7 +334,7 @@ def estimate_energy(
     nonzero = w > 0.0
     if not nonzero.all():
         idx, w = idx[nonzero], w[nonzero]
-    if isinstance(weights, BasisWeights) and len(idx) == 1 << m:
+    if len(idx) == 1 << m:
         energies = q.energy_table  # idx is exactly arange(2^m)
     else:
         energies = block_energies(q, ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64))

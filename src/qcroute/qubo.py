@@ -74,8 +74,9 @@ class PenaltyWeights:
         if not 0.0 < self.kappa < math.inf:  # NaN fails both comparisons
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         for name in ("eta1", "eta2", "eta3", "eta4", "w1", "w2", "w3"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be nonnegative and finite at kappa {self.kappa}")
 
     def as_vector(self) -> tuple[float, float, float, float]:
         return (self.eta1, self.eta2, self.eta3, self.eta4)
@@ -223,6 +224,7 @@ def scale_penalties(p: PenaltyWeights, kappa: float) -> PenaltyWeights:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises the ValueError below
 def build_cable_qubo(instance: Instance, cable: Cable, penalties: PenaltyWeights) -> CableQubo:
     """Assemble one cable's QUBO block over variables z = (x, b).
 
@@ -235,7 +237,8 @@ def build_cable_qubo(instance: Instance, cable: Cable, penalties: PenaltyWeights
 
     F is the d x p incidence matrix of segments vs internal nodes.  The two
     squared penalties contribute the constant eta1 + eta2, tracked as the
-    block offset.  The matrix is exactly symmetric by construction.
+    block offset.  The matrix is exactly symmetric by construction.  Raises
+    ValueError if a coefficient or the offset overflows to a non-finite value.
     """
     vmap = variable_map(instance, cable)
     d = instance.num_segments
@@ -264,10 +267,13 @@ def build_cable_qubo(instance: Instance, cable: Cable, penalties: PenaltyWeights
     q[:d, d:] += penalties.eta4 * (-0.5 * f_mat)
     q[d:, :d] += penalties.eta4 * (-0.5 * f_mat.T)
 
+    offset = penalties.eta1 + penalties.eta2
+    if not (np.isfinite(q).all() and math.isfinite(offset)):
+        raise ValueError(f"block of cable {cable.id!r} at kappa {penalties.kappa} has a non-finite coefficient")
     return CableQubo(
         dim=dim,
         q=q,
-        offset=penalties.eta1 + penalties.eta2,
+        offset=offset,
         vmap=vmap,
         penalties=penalties,
         cable_id=cable.id,

@@ -52,8 +52,8 @@ class VqeConfig:
     ftol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.shots < 0:
-            raise ValueError("shots must be nonnegative (0 = exact distribution)")
+        if not 0 <= self.shots < 2**63:  # the multinomial draw takes an int64 count
+            raise ValueError(f"shots must be within [0, 2**63 - 1] (0 = exact distribution), got {self.shots}")
         if self.reps < 0:
             raise ValueError(f"reps must be nonnegative, got {self.reps}")
         if self.maxiter < 1:

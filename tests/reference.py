@@ -189,18 +189,12 @@ def parent_estimate_energy(weights, q):
     """``estimate_energy`` frozen from its form before the per-block table.
 
     The energies of exactly the nonzero-weight indices, in their own order,
-    from one shifted int64 bit matrix per call.  Takes a ``BasisWeights`` or
-    a string-keyed mapping of valid bitstrings; returns (e_exp, (best key,
-    its energy)) as the library does.
+    from one shifted int64 bit matrix per call.  Takes a ``BasisWeights``;
+    returns (e_exp, (best key, its energy)) as the library does.
     """
     m = q.dim
-    if hasattr(weights, "indices"):
-        idx = weights.indices
-        w = np.asarray(weights.weights, dtype=np.float64)
-    else:
-        keys = list(weights)
-        idx = np.array([int(key[::-1], 2) for key in keys], dtype=np.int64)
-        w = np.array([float(weights[key]) for key in keys])
+    idx = weights.indices
+    w = np.asarray(weights.weights, dtype=np.float64)
     nonzero = w > 0.0
     idx, w = idx[nonzero], w[nonzero]
     bits = ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64)

@@ -84,6 +84,14 @@ class TestQubo:
     def test_unknown_cable_exit_2(self, triangle_path):
         assert main(["qubo", triangle_path, "--cable", "c9"]) == 2
 
+    def test_overflowing_kappa_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "block.json"
+        assert main(["qubo", "layout-1", "--cable", "c1", "--kappa", "1e308", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "kappa 1e+308" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSolve:
     def test_brute_triangle(self, triangle_path, capsys):
@@ -136,14 +144,23 @@ class TestSolve:
     @pytest.mark.parametrize(
         "flags, field",
         [(["--shots", "-5", "--maxiter", "0"], "shots"), (["--maxiter", "0"], "maxiter"),
-         (["--seed", "-1"], "seed"), (["--reps", "-1"], "reps")],
-        ids=["shots", "maxiter", "seed", "reps"],
+         (["--seed", "-1"], "seed"), (["--reps", "-1"], "reps"),
+         (["--shots", "99999999999999999999", "--maxiter", "2"], "shots")],
+        ids=["shots", "maxiter", "seed", "reps", "shots-over-int64"],
     )
     def test_invalid_solver_flag_exit_2_for_every_method(self, method, flags, field, capsys):
         assert main(["solve", "layout-1", "--method", method, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert field in captured.err
+
+    @pytest.mark.parametrize("method", ["vqe", "brute", "dijkstra"])
+    def test_overflowing_kappa_exit_2(self, method, capsys):
+        # 1e308 is finite, but it scales the penalty weights past the float range.
+        assert main(["solve", "layout-1", "--method", method, "--kappa", "1e308", "--maxiter", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kappa 1e+308" in captured.err
 
     def test_vqe_lines_come_from_the_library_solve(self, layout1, capsys):
         assert main(["solve", "layout-1", "--seed", "7", "--shots", "100", "--maxiter", "20"]) == 0
@@ -302,6 +319,34 @@ class TestSweepAndReport:
         assert "done" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "r.csv").exists()
+
+    def test_overflowing_kappa_fails_before_the_first_cell(self, tmp_path, capsys):
+        args = ["sweep", "layout-1", "--kappas", "1,1e308", "--seeds", "2", "--shots", "50", "--maxiter", "8"]
+        assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert "kappa entry 2 (1e+308)" in captured.err
+        assert "done" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_shots_over_int64_fail_before_the_first_cell(self, tmp_path, capsys):
+        args = ["sweep", "layout-1", "--kappas", "1", "--seeds", "1", "--shots", "99999999999999999999"]
+        assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert "shots" in captured.err and "done" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_jobs_beyond_the_grid_give_the_single_job_bytes(self, tmp_path, capsys):
+        # One cell runs in process whatever --jobs says, so no worker starts.
+        outputs = []
+        for jobs in ("1", "99999999999999999999"):
+            out = tmp_path / f"r{jobs}.csv"
+            args = ["sweep", "layout-1", "--kappas", "1", "--seeds", "1", "--maxiter", "1", "--jobs", jobs]
+            assert main(args + ["--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            outputs.append((out.read_bytes(), captured.out, captured.err))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("kappas, entry", [("1,1.0", "entry 2 (1.0)"), ("0.5,1,2,1.00000000000001", "entry 4")])
     def test_repeated_kappa_fails_before_the_first_cell(self, kappas, entry, tmp_path, capsys):

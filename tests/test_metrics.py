@@ -10,6 +10,7 @@ from qcroute import (
     records_to_csv,
     run_sweep,
 )
+from qcroute import metrics
 from qcroute.metrics import CSV_HEADER, plot_tables, summary_table
 
 
@@ -153,6 +154,30 @@ class TestRunSweep:
             run_sweep(layout1, [], 2, FAST)
         with pytest.raises(ValueError, match="num_seeds"):
             run_sweep(layout1, [1.0], 0, FAST)
+
+    def test_workers_capped_at_the_cell_count(self, layout1, monkeypatch):
+        # The stub pool records its size and maps in process, so no worker starts.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", InProcessPool)
+        expected = run_sweep(layout1, [0.5, 1.0], 2, FAST).records
+        assert run_sweep(layout1, [0.5, 1.0], 2, FAST, jobs=3).records == expected
+        assert run_sweep(layout1, [0.5, 1.0], 2, FAST, jobs=10**20).records == expected
+        assert run_sweep(layout1, [1.0], 1, FAST, jobs=10**20).records == run_sweep(layout1, [1.0], 1, FAST).records
+        assert sizes == [3, 4]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_nonpositive_jobs(self, layout1, jobs):

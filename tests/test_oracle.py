@@ -18,7 +18,7 @@ from qcroute import (
     scale_penalties,
     shortest_path_opt,
 )
-from qcroute.oracle import length_cap_ok, route_bitstring
+from qcroute.oracle import route_bitstring
 from qcroute.qubo import BLOCK_DIM_CAP as BRUTE_FORCE_DIM_CAP
 from reference import min_simple_path_cost, parent_brute_force_min, reference_minimum
 
@@ -243,23 +243,6 @@ class TestOracleAgreement:
                     energies = ((bits @ q.q) * bits).sum(axis=1) + q.offset
                     argmin_sets.append(set(np.nonzero(energies <= energies.min() + 1e-12)[0]))
                 assert argmin_sets[0] == argmin_sets[1] == argmin_sets[2]
-
-
-class TestLengthCap:
-    def test_within_cap(self, layout1):
-        cable = layout1.cable("c4")
-        solution = shortest_path_opt(layout1, cable)
-        assert length_cap_ok(layout1, cable, solution.bitstring) is True
-
-    def test_over_cap(self, layout1):
-        cable = layout1.cable("c4")
-        all_segments = "1" * layout1.num_segments + "0" * 4  # total length 8.5 > 6.0
-        assert length_cap_ok(layout1, cable, all_segments) is False
-
-    def test_no_cap_gives_none(self, layout1):
-        cable = layout1.cable("c1")
-        solution = shortest_path_opt(layout1, cable)
-        assert length_cap_ok(layout1, cable, solution.bitstring) is None
 
 
 class TestRouteBitstring:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,6 +81,13 @@ class TestDefaultPenalties:
         with pytest.raises(ValueError, match="nonnegative"):
             PenaltyWeights(eta1=-1, eta2=0, eta3=0, eta4=0, w1=0, w2=0, w3=0)
 
+    @pytest.mark.parametrize("field", ["eta3", "w2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, field, value):
+        weights = dict(eta1=1, eta2=1, eta3=1, eta4=1, w1=0, w2=0, w3=0, kappa=2.0)
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative and finite at kappa 2.0"):
+            PenaltyWeights(**{**weights, field: value})
+
 
 class TestScalePenalties:
     def test_doubling(self):
@@ -115,6 +123,15 @@ class TestBuildCableQubo:
         assert q.dim == 4
         assert q.offset == 10.0
         assert q.vmap == VariableMap(segment_vars=("AB", "BC", "AC"), node_vars=("B",))
+
+    def test_overflowing_coefficient_rejected_without_a_warning(self, triangle):
+        # The etas (5, 5, 3, 1) * 1.6e307 and the offset 10 * 1.6e307 are
+        # finite; the node diagonal 12 * 1.6e307 is not.
+        pens = scale_penalties(default_penalties(triangle, triangle.cables[0]), 1.6e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"cable 'c1' at kappa 1.6e\+307 has a non-finite coefficient"):
+                build_cable_qubo(triangle, triangle.cables[0], pens)
 
     def test_triangle_frozen_energies(self, triangle):
         # Derived by literal evaluation of objective + penalty expressions.

@@ -35,6 +35,7 @@ class TestVqeConfig:
         "kwargs",
         [
             {"shots": -1},
+            {"shots": 2**63},
             {"reps": -1},
             {"maxiter": 0},
             {"ftol": 0.0},
