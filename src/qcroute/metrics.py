@@ -25,8 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 from .instance import Instance
 from .oracle import shortest_path_opt
-from .qubo import default_penalties, scale_penalties
-from .vqe import VqeConfig, cable_subseed, solve_decomposed
+from .vqe import VqeConfig, cable_block, cable_subseed, solve_decomposed
 
 __all__ = [
     "RunRecord",
@@ -128,10 +127,10 @@ def opt_gap_stats(
 
 
 def _check_kappa(instance: Instance, kappa: float) -> None:
-    """Raise ValueError unless ``kappa`` scales every cable's baseline
-    penalties to valid weights: positive and finite, with finite etas."""
+    """Raise ValueError unless ``kappa`` gives every cable a valid block:
+    positive and finite, with finite etas and finite coefficients."""
     for cable in instance.cables:
-        scale_penalties(default_penalties(instance, cable), kappa)
+        cable_block(instance, cable, kappa)
 
 
 def _sweep_cell(args) -> list[RunRecord]:
@@ -179,8 +178,9 @@ def run_sweep(
     are cells; records are reduced in sorted order either way, so the
     report is identical for any job count.  ``progress`` is called with
     (kappa, seed) as each cell completes.  A kappa that is not positive and
-    finite, scales some cable's penalties past the float range, or repeats
-    an earlier one raises ValueError naming the entry before the first cell.
+    finite, scales some cable's penalties or block coefficients past the
+    float range, or repeats an earlier one raises ValueError naming the
+    entry before the first cell.
     """
     if not kappas:
         raise ValueError("kappas must be nonempty")

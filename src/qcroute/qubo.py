@@ -47,7 +47,9 @@ __all__ = [
 # Largest block any solver takes: a 2^24-amplitude float64 statevector (128 MiB;
 # a solve adds the probabilities and the multinomial counts, no state-sized
 # scratch) or 2^24 enumerated bitstrings (energies formed 2^12 rows at a time in
-# about 1.5 MiB of reused buffers; the energy table itself is 128 MiB).
+# about 1.5 MiB of reused buffers; the energy table itself is 128 MiB).  Brute
+# force screens every 2^12-row chunk at about 12 flops a state and forms only
+# the chunks that can hold the minimum.
 BLOCK_DIM_CAP = 24
 
 
@@ -299,7 +301,10 @@ _CHUNK_BITS = 12  # counter bits per chunk of _chunk_energies: 2^12 rows
 
 
 def _chunk_energies(
-    q: CableQubo, columns: Sequence[int], table: np.ndarray | None = None
+    q: CableQubo,
+    columns: Sequence[int],
+    table: np.ndarray | None = None,
+    starts: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Energies of all 2^dim counters, 2^12 rows at a time.
 
@@ -318,8 +323,10 @@ def _chunk_energies(
     on 18-variable blocks.
 
     With ``table`` (shape (2^dim,)) the energies of counter y go to
-    ``table[y]``.  Yields (start, energies of the chunk); the energies
-    vector without ``table`` is overwritten by the next chunk.
+    ``table[y]``.  With ``starts`` (ascending multiples of the chunk size)
+    only those chunks are formed, each with the same floats as in the full
+    run.  Yields (start, energies of the chunk); the energies vector without
+    ``table`` is overwritten by the next chunk.
     """
     columns = list(columns)
     low = min(len(columns), _CHUNK_BITS)
@@ -328,7 +335,9 @@ def _chunk_energies(
     energies = np.empty(len(bits))
     high_columns = columns[low:]
     high_shifts = np.arange(low, len(columns))
-    for start in range(0, 1 << len(columns), len(bits)):
+    if starts is None:
+        starts = range(0, 1 << len(columns), len(bits))
+    for start in starts:
         bits[:, high_columns] = (start >> high_shifts) & 1
         out = energies if table is None else table[start:start + len(bits)]
         np.matmul(bits, q.q, out=work)

@@ -162,6 +162,16 @@ class TestSolve:
         assert captured.out == ""
         assert "kappa 1e+308" in captured.err
 
+    @pytest.mark.parametrize("method", ["vqe", "brute", "dijkstra"])
+    @pytest.mark.parametrize("kappa, cable", [("1.6e307", "c1"), ("6e306", "c3")])
+    def test_overflowing_block_exit_2_before_the_first_cable(self, method, kappa, cable, capsys):
+        # Finite etas, but the block of ``cable`` overflows; at 6e306 the
+        # blocks of c1 and c2 are still finite.
+        assert main(["solve", "layout-1", "--method", method, "--kappa", kappa, "--maxiter", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"block of cable '{cable}' at kappa {float(kappa)}" in captured.err
+
     def test_vqe_lines_come_from_the_library_solve(self, layout1, capsys):
         assert main(["solve", "layout-1", "--seed", "7", "--shots", "100", "--maxiter", "20"]) == 0
         cli_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("cable=")]
@@ -325,6 +335,17 @@ class TestSweepAndReport:
         assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
         captured = capsys.readouterr()
         assert "kappa entry 2 (1e+308)" in captured.err
+        assert "done" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_overflowing_block_fails_before_the_first_cell(self, tmp_path, capsys):
+        # 1.6e307 scales the etas to finite values, but c1's block overflows.
+        args = ["sweep", "layout-1", "--kappas", "1,1.6e307", "--seeds", "1", "--maxiter", "2", "--shots", "10"]
+        assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert "kappa entry 2 (1.6e+307)" in captured.err
+        assert "non-finite coefficient" in captured.err
         assert "done" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "r.csv").exists()

@@ -10,6 +10,7 @@ from qcroute import (
     PenaltyWeights,
     VariableMap,
     brute_force_min,
+    bundled_layouts,
     build_cable_qubo,
     check_feasibility,
     default_penalties,
@@ -18,6 +19,7 @@ from qcroute import (
     scale_penalties,
     shortest_path_opt,
 )
+from qcroute import oracle
 from qcroute.oracle import route_bitstring
 from qcroute.qubo import BLOCK_DIM_CAP as BRUTE_FORCE_DIM_CAP
 from reference import min_simple_path_cost, parent_brute_force_min, reference_minimum
@@ -179,6 +181,80 @@ class TestBruteForce:
         solution = brute_force_min(q, layout2)
         assert time.perf_counter() - start < 10.0
         assert solution.energy == pytest.approx(2.5, abs=1e-9)
+
+
+# (nodes, chords) of chorded_ring blocks of 13 to 20 variables.
+SCREENED_RINGS = [(7, [(0, 3)])] + [(8, RING_18_CHORDS[:k]) for k in range(5)]
+SCREENED_RINGS += [(8, RING_18_CHORDS + [(0, 4)]), (8, RING_18_CHORDS + [(0, 4), (3, 6)])]
+
+
+def assert_equals_parent(q):
+    solution = brute_force_min(q)
+    parent_bits, parent_energy = parent_brute_force_min(q)
+    assert (solution.bitstring, repr(solution.energy)) == (parent_bits, repr(parent_energy)), (q.cable_id, q.dim)
+
+
+class TestScreenedBruteForce:
+    """Blocks over 12 variables form only the chunks the screen keeps; the
+    answer must stay the full scan's bitstring and float."""
+
+    @pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0, 2.0, 4.0])
+    def test_bundled_layouts_equal_the_parent(self, kappa):
+        for instance in bundled_layouts():
+            for cable in instance.cables:
+                assert_equals_parent(baseline_qubo(instance, cable, kappa))
+
+    @pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0, 1e6, 1e100])
+    @pytest.mark.parametrize(
+        "nodes, chords", SCREENED_RINGS, ids=[f"{13 + i}q" for i in range(len(SCREENED_RINGS))]
+    )
+    def test_chorded_rings_equal_the_parent(self, nodes, chords, kappa):
+        ring = chorded_ring(chords, nodes)
+        q = baseline_qubo(ring, ring.cables[0], kappa)
+        assert q.dim == 2 * nodes - 2 + len(chords)
+        assert_equals_parent(q)
+
+    @pytest.mark.parametrize("dim", [13, 16])
+    def test_zero_block_keeps_every_chunk(self, dim):
+        q = zero_qubo(dim)
+        assert oracle._kept_chunk_starts(q) == list(range(0, 1 << dim, 1 << 12))
+        assert_equals_parent(q)
+
+    @pytest.mark.parametrize("triangle", [np.tril, np.triu])
+    def test_non_symmetric_block_equals_the_parent(self, triangle):
+        # Every prefix-suffix coupling sits on one side of the diagonal, so
+        # a screen built on 2 * Q_ps or 2 * Q_sp^T would drop it.
+        rng = np.random.default_rng(2)
+        matrix = triangle(rng.uniform(-2.0, 1.0, size=(17, 17)))
+        q = replace(zero_qubo(17), q=matrix, offset=0.5)
+        assert not np.array_equal(matrix, matrix.T)
+        assert_equals_parent(q)
+
+    def test_overflowing_energies_fall_back_to_every_chunk(self):
+        # Finite entries near 1e307 whose energies overflow to inf and NaN.
+        rng = np.random.default_rng(5)
+        q = replace(zero_qubo(14), q=rng.choice([-1.0, 1.0], size=(14, 14)) * 1e307)
+        assert np.isfinite(q.q).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert oracle._kept_chunk_starts(q) is None
+            assert_equals_parent(q)
+
+    def test_twenty_variable_ring_forms_at_most_two_chunks(self, monkeypatch):
+        # The 20-variable block of test_qubo's TestChunkEnergies: 256 chunks.
+        ring = chorded_ring(RING_18_CHORDS + [(0, 4), (3, 6)])
+        q = baseline_qubo(ring, ring.cables[0])
+        formed = []
+        chunk_energies = oracle._chunk_energies
+
+        def counting(*args, **kwargs):
+            for start, energies in chunk_energies(*args, **kwargs):
+                formed.append(start)
+                yield start, energies
+
+        monkeypatch.setattr(oracle, "_chunk_energies", counting)
+        brute_force_min(q)
+        assert 1 <= len(formed) <= 2
+        assert formed == sorted(formed)
 
 
 class TestShortestPath:
