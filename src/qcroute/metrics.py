@@ -128,7 +128,7 @@ def opt_gap_stats(
 
 def _check_kappa(instance: Instance, kappa: float) -> None:
     """Raise ValueError unless ``kappa`` gives every cable a valid block:
-    positive and finite, with finite etas and finite coefficients."""
+    positive and finite, with finite etas and a finite energy bound."""
     for cable in instance.cables:
         cable_block(instance, cable, kappa)
 

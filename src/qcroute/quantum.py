@@ -5,8 +5,10 @@ The ansatz is a Y-rotation layer followed, per repetition, by a linear chain
 of controlled-NOT gates (control i, target i+1) and another Y-rotation layer.
 Only real-amplitude states arise, which is sufficient because the cost
 operator is diagonal in the computational basis, so states are held as real
-float64 vectors.  Measurement results are keyed by basis index inside; the
-'0'/'1' bitstring form is built only where a caller reads it.
+float64 vectors.  A measurement result is a ``BasisWeights``: ascending
+basis indices and their positive weights, checked once at construction.  The
+'0'/'1' bitstring form is built only for the best state ``estimate_energy``
+reports, and for a bad weight's error message.
 
 State preparation forms exactly the floats of the gate-by-gate circuit with
 few passes over memory.  The first rotation layer and the first CNOT chain
@@ -28,7 +30,6 @@ statevector index (index = sum_i z_i * 2^i).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -44,7 +45,6 @@ __all__ = [
     "sample",
     "estimate_energy",
     "index_to_bitstring",
-    "bitstring_to_index",
 ]
 
 
@@ -77,14 +77,14 @@ class Statevector:
         return int(self.amplitudes.shape[0]).bit_length() - 1
 
 
-class BasisWeights(Mapping[str, float]):
-    """Read-only bitstring -> weight mapping over basis-state indices.
+class BasisWeights:
+    """Basis-state indices of an m-qubit register and their positive weights.
 
-    ``indices`` holds the basis indices with nonzero weight, strictly
-    ascending within ``[0, 2^num_qubits)``; ``weights`` their weights, in the
-    same order.  The constructor raises ValueError otherwise, since lookups
-    bisect the indices.  Lookups and ``len`` work on the arrays; bitstrings
-    are built only when iterated.
+    ``indices`` holds at least one basis index, strictly ascending within
+    ``[0, 2^num_qubits)``; ``weights`` their weights, in the same order, each
+    finite and positive (int counts or float probabilities).  The
+    constructor raises ValueError otherwise, naming a bad weight by its
+    bitstring, so a zero weight never reaches ``estimate_energy``.
     """
 
     __slots__ = ("indices", "weights", "num_qubits")
@@ -92,32 +92,23 @@ class BasisWeights(Mapping[str, float]):
     def __init__(self, indices: np.ndarray, weights: np.ndarray, num_qubits: int) -> None:
         if len(indices) != len(weights):
             raise ValueError(f"{len(indices)} indices but {len(weights)} weights")
-        if len(indices) and (  # count_nonzero: half the cost of any() on a sample's few indices
-            indices[0] < 0 or indices[-1] >= 1 << num_qubits or np.count_nonzero(indices[1:] <= indices[:-1])
-        ):
+        if not len(indices):
+            raise ValueError("no weighted basis states")
+        # count_nonzero: half the cost of any() on a sample's few indices
+        if indices[0] < 0 or indices[-1] >= 1 << num_qubits or np.count_nonzero(indices[1:] <= indices[:-1]):
             raise ValueError(f"indices must be strictly ascending within [0, 2^{num_qubits})")
+        if not (weights.min() > 0 and weights.max() < np.inf):  # any NaN makes both NaN
+            pos = int(np.argmax(~((weights > 0) & (weights < np.inf))))
+            raise ValueError(
+                f"weight of {index_to_bitstring(int(indices[pos]), num_qubits)!r} "
+                f"must be finite and positive, got {weights[pos]}"
+            )
         self.indices = indices
         self.weights = weights
         self.num_qubits = num_qubits
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def __iter__(self) -> Iterator[str]:
-        for index in self.indices.tolist():
-            yield index_to_bitstring(index, self.num_qubits)
-
-    def __getitem__(self, key: str) -> float:
-        if not isinstance(key, str) or len(key) != self.num_qubits or set(key) - {"0", "1"}:
-            raise KeyError(key)
-        index = bitstring_to_index(key)
-        pos = int(np.searchsorted(self.indices, index))
-        if pos == len(self.indices) or self.indices[pos] != index:
-            raise KeyError(key)
-        return self.weights[pos].item()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -130,10 +121,6 @@ class SampleCounts:
 
 def index_to_bitstring(index: int, num_qubits: int) -> str:
     return "".join("1" if (index >> i) & 1 else "0" for i in range(num_qubits))
-
-
-def bitstring_to_index(bits: str) -> int:
-    return int(bits[::-1], 2)
 
 
 _TILE = 1 << 16  # amplitudes per band of _rotation_layer (512 KiB of float64)
@@ -297,12 +284,14 @@ def estimate_energy(weights: BasisWeights | SampleCounts, q: CableQubo) -> tuple
     """Weighted QUBO energy plus the best observed bitstring.
 
     ``weights`` is a ``BasisWeights`` (an exact distribution) or sampled
-    counts over one; any other type raises ValueError naming it.  Weights
-    must be finite and nonnegative with a positive total.  Returns (expected
-    energy, (minimum-energy bitstring with nonzero weight, its energy));
-    energy ties resolve to the lexicographically smallest bitstring.
+    counts over one; any other type, or one of another qubit count than
+    the block's dimension, raises ValueError.  Its constructor has already
+    checked the weights (finite and positive), so they are used as they
+    are.  Returns (expected energy, (minimum-energy weighted bitstring, its
+    energy)); energy ties resolve to the lexicographically smallest
+    bitstring.
 
-    With nonzero weight on all 2^m basis states, as in the usual exact
+    With weight on all 2^m basis states, as in the usual exact
     distribution, the indices are 0..2^m-1 in order (the ``BasisWeights``
     invariant), and the energies come from the block's ``energy_table``,
     built once per block: ``block_energies``' expression on the same bit
@@ -316,24 +305,11 @@ def estimate_energy(weights: BasisWeights | SampleCounts, q: CableQubo) -> tuple
         weights = weights.counts
     if not isinstance(weights, BasisWeights):
         raise ValueError(f"weights must be BasisWeights or SampleCounts over them, got {type(weights).__name__}")
-    if not weights:
-        raise ValueError("no weighted bitstrings to estimate from")
     m = q.dim
     if weights.num_qubits != m:
         raise ValueError(f"{weights.num_qubits}-qubit weights != block dimension {m}")
     idx = weights.indices
     w = np.asarray(weights.weights, dtype=np.float64)
-    bad = ~((w >= 0.0) & (w < np.inf))  # NaN fails both comparisons
-    if bad.any():
-        pos = int(np.argmax(bad))
-        raise ValueError(
-            f"weight of {index_to_bitstring(int(idx[pos]), m)!r} must be finite and nonnegative, got {w[pos]}"
-        )
-    if not w.sum() > 0.0:
-        raise ValueError("weights must have a positive total")
-    nonzero = w > 0.0
-    if not nonzero.all():
-        idx, w = idx[nonzero], w[nonzero]
     if len(idx) == 1 << m:
         energies = q.energy_table  # idx is exactly arange(2^m)
     else:

@@ -240,7 +240,9 @@ def build_cable_qubo(instance: Instance, cable: Cable, penalties: PenaltyWeights
     F is the d x p incidence matrix of segments vs internal nodes.  The two
     squared penalties contribute the constant eta1 + eta2, tracked as the
     block offset.  The matrix is exactly symmetric by construction.  Raises
-    ValueError if a coefficient or the offset overflows to a non-finite value.
+    ValueError unless the energy bound ``2 * (sum |Q_ij| + |offset|)`` is
+    finite, so a coefficient, the offset or any energy overflowing rejects
+    the block.
     """
     vmap = variable_map(instance, cable)
     d = instance.num_segments
@@ -270,8 +272,12 @@ def build_cable_qubo(instance: Instance, cable: Cable, penalties: PenaltyWeights
     q[d:, :d] += penalties.eta4 * (-0.5 * f_mat.T)
 
     offset = penalties.eta1 + penalties.eta2
-    if not (np.isfinite(q).all() and math.isfinite(offset)):
-        raise ValueError(f"block of cable {cable.id!r} at kappa {penalties.kappa} has a non-finite coefficient")
+    # |energy| and every partial sum of it is at most sum|Q_ij| + |offset|;
+    # twice that finite leaves no overflow for brute force and its screen.
+    if not math.isfinite(2.0 * (float(np.abs(q).sum()) + abs(offset))):
+        raise ValueError(
+            f"block of cable {cable.id!r} at kappa {penalties.kappa} has a non-finite coefficient or energy bound"
+        )
     return CableQubo(
         dim=dim,
         q=q,
@@ -347,12 +353,9 @@ def _chunk_energies(
         yield start, out
 
 
-def block_energies(q: CableQubo, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Energies z^T Q z + offset of the rows of a (n, dim) 0/1 float matrix.
-
-    Written to ``out`` (shape (n,)) when given, else to a new array.
-    """
-    energies = ((bits @ q.q) * bits).sum(axis=1, out=out)
+def block_energies(q: CableQubo, bits: np.ndarray) -> np.ndarray:
+    """Energies z^T Q z + offset of the rows of a (n, dim) 0/1 float matrix, as a new array."""
+    energies = ((bits @ q.q) * bits).sum(axis=1)
     energies += q.offset
     return energies
 

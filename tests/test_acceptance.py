@@ -29,7 +29,7 @@ from qcroute import (
 )
 from qcroute.cli import main
 from qcroute.metrics import RunRecord, emp_prob, opt_gap_stats
-from qcroute.quantum import AnsatzSpec, estimate_energy, exact_distribution, prepare_state, sample
+from qcroute.quantum import AnsatzSpec, estimate_energy, exact_distribution, index_to_bitstring, prepare_state, sample
 from qcroute.qubo import spins_from_bits
 from conftest import TRIANGLE_DOC, TRIANGLE_TWO_CABLES_DOC
 from reference import reference_energy
@@ -226,7 +226,8 @@ def test_criterion_08_estimator_consistency(layout1):
         state = prepare_state(spec, theta)
         dist = exact_distribution(state)
         e_exact, _ = estimate_energy(dist, block)
-        second_moment = sum(p * qubo_energy(block, z) ** 2 for z, p in dist.items())
+        keys = [index_to_bitstring(i, block.dim) for i in dist.indices.tolist()]
+        second_moment = sum(p * qubo_energy(block, z) ** 2 for z, p in zip(keys, dist.weights.tolist()))
         std_error = np.sqrt(max(second_moment - e_exact**2, 0.0) / 1000.0)
         counts = sample(state, 1000, np.random.default_rng(500 + trial))
         e_shots, _ = estimate_energy(counts, block)

@@ -163,10 +163,11 @@ class TestSolve:
         assert "kappa 1e+308" in captured.err
 
     @pytest.mark.parametrize("method", ["vqe", "brute", "dijkstra"])
-    @pytest.mark.parametrize("kappa, cable", [("1.6e307", "c1"), ("6e306", "c3")])
+    @pytest.mark.parametrize("kappa, cable", [("1.6e307", "c1"), ("5e306", "c1"), ("2e305", "c3")])
     def test_overflowing_block_exit_2_before_the_first_cable(self, method, kappa, cable, capsys):
-        # Finite etas, but the block of ``cable`` overflows; at 6e306 the
-        # blocks of c1 and c2 are still finite.
+        # Finite etas, but the block of ``cable`` overflows: at 1.6e307 a
+        # coefficient, at 5e306 the energy bound 2 * (sum |Q_ij| + |offset|).
+        # At 2e305 only c3's bound is past the float range.
         assert main(["solve", "layout-1", "--method", method, "--kappa", kappa, "--maxiter", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

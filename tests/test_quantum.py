@@ -19,7 +19,7 @@ from qcroute import (
     sample,
 )
 from qcroute import quantum
-from qcroute.quantum import _cnot_chain, bitstring_to_index, index_to_bitstring
+from qcroute.quantum import _cnot_chain, index_to_bitstring
 from test_oracle import RING_18_CHORDS, baseline_qubo, chorded_ring, zero_qubo
 from reference import (
     cnot_chain_by_swaps,
@@ -166,7 +166,7 @@ class TestPrepareState:
 class TestBitOrdering:
     def test_round_trip(self):
         for u in range(16):
-            assert bitstring_to_index(index_to_bitstring(u, 4)) == u
+            assert index_to_bitstring(u, 4) == format(u, "04b")[::-1]
 
     def test_character_i_is_qubit_i(self):
         assert index_to_bitstring(1, 3) == "100"
@@ -176,14 +176,15 @@ class TestBitOrdering:
 class TestExactDistribution:
     def test_point_mass(self):
         state = prepare_state(AnsatzSpec(3, 0), np.zeros(3))
-        assert exact_distribution(state) == {"000": 1.0}
+        dist = exact_distribution(state)
+        assert dist.indices.tolist() == [0] and dist.weights.tolist() == [1.0]
 
     def test_uniform_two_qubit(self):
         # Half-turn rotations on both qubits, no entangling layer.
         state = prepare_state(AnsatzSpec(2, 0), [np.pi / 2, np.pi / 2])
         dist = exact_distribution(state)
-        assert set(dist) == {"00", "10", "01", "11"}
-        for p in dist.values():
+        assert {index_to_bitstring(i, 2) for i in dist.indices.tolist()} == {"00", "10", "01", "11"}
+        for p in dist.weights.tolist():
             assert p == pytest.approx(0.25, abs=1e-10)
 
     def test_probabilities_sum_to_one(self):
@@ -191,7 +192,7 @@ class TestExactDistribution:
         spec = AnsatzSpec(4, 1)
         for _ in range(20):
             state = prepare_state(spec, rng.random(spec.parameter_count) * 2 * np.pi)
-            assert sum(exact_distribution(state).values()) == pytest.approx(1.0, abs=1e-10)
+            assert sum(exact_distribution(state).weights.tolist()) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestBasisWeights:
@@ -200,25 +201,6 @@ class TestBasisWeights:
         # Indices 1, 2, 6 at m = 3 are "100", "010", "011".
         return BasisWeights(np.array([1, 2, 6]), np.array([0.25, 0.5, 0.25]), 3)
 
-    def test_equals_the_equivalent_dict(self, weights):
-        assert weights == {"100": 0.25, "010": 0.5, "011": 0.25}
-        assert weights != {"100": 0.25, "010": 0.5}
-        assert weights != {"100": 0.25, "010": 0.5, "011": 0.5}
-
-    def test_iterates_in_ascending_index_order(self, weights):
-        assert list(weights) == ["100", "010", "011"]
-        assert list(weights.items()) == [("100", 0.25), ("010", 0.5), ("011", 0.25)]
-        assert list(weights.values()) == [0.25, 0.5, 0.25]
-
-    def test_lookup(self, weights):
-        assert weights["010"] == 0.5
-        assert weights.get("011") == 0.25
-        assert weights.get("000") is None
-        assert weights.get("01", 0) == 0
-        assert "111" not in weights and "01a" not in weights
-        with pytest.raises(KeyError):
-            weights["110"]
-
     @pytest.mark.parametrize(
         "indices, weights, match",
         [
@@ -226,8 +208,13 @@ class TestBasisWeights:
             ([-1, 2], [0.5, 0.5], "strictly ascending"),
             ([1, 8], [0.5, 0.5], r"within \[0, 2\^3\)"),
             ([1, 2], [1.0], "2 indices but 1 weights"),
+            ([1, 2], [0.5, 0.0], "weight of '010' must be finite and positive, got 0.0"),
+            ([1, 2], [-1, 3], "weight of '100' must be finite and positive, got -1"),
+            ([1, 6], [0.5, np.nan], "weight of '011' must be finite and positive, got nan"),
+            ([1, 6], [np.inf, 0.5], "weight of '100' must be finite and positive, got inf"),
+            ([], [], "no weighted basis states"),
         ],
-        ids=["out-of-order", "negative", "past-the-range", "length-mismatch"],
+        ids=["out-of-order", "negative", "past-the-range", "length-mismatch", "zero", "negative-weight", "nan", "inf", "empty"],
     )
     def test_rejects_a_broken_invariant(self, indices, weights, match):
         with pytest.raises(ValueError, match=match):
@@ -240,26 +227,32 @@ class TestBasisWeights:
         monkeypatch.setattr(quantum, "index_to_bitstring", forbidden)
         assert len(weights) == 3
 
-    def test_counts_keep_integer_values(self):
-        state = prepare_state(AnsatzSpec(2, 0), [np.pi / 2, np.pi / 2])
+    @pytest.mark.parametrize("m", range(3, 12))
+    def test_sample_and_exact_weights_are_positive(self, m):
+        spec = AnsatzSpec(m, 1)
+        state = prepare_state(spec, np.random.default_rng(m).random(spec.parameter_count) * 2 * np.pi)
         counts = sample(state, 100, np.random.default_rng(4)).counts
-        assert all(type(v) is int for v in counts.values())
-        assert sum(counts.values()) == 100
+        assert counts.weights.dtype.kind == "i" and counts.weights.sum() == 100
+        dist = exact_distribution(state)
+        assert dist.weights.dtype.kind == "f"
+        assert (counts.weights > 0).all() and (dist.weights > 0).all()
 
 
 class TestSample:
     def test_deterministic_state_all_shots_on_one_string(self):
         state = prepare_state(AnsatzSpec(2, 1), [np.pi, 0.0, 0.0, 0.0])
         counts = sample(state, 50, np.random.default_rng(0))
-        assert counts.counts == {"11": 50}
+        assert counts.counts.indices.tolist() == [3] and counts.counts.weights.tolist() == [50]
         assert counts.shots == 50
 
     def test_uniform_counts_within_five_sigma(self):
         state = prepare_state(AnsatzSpec(2, 0), [np.pi / 2, np.pi / 2])
         counts = sample(state, 4000, np.random.default_rng(123))
         sigma = np.sqrt(4000 * 0.25 * 0.75)
-        for key in ("00", "01", "10", "11"):
-            assert abs(counts.counts.get(key, 0) - 1000) <= 5 * sigma
+        observed = np.zeros(4, dtype=np.int64)
+        observed[counts.counts.indices] = counts.counts.weights
+        for count in observed.tolist():
+            assert abs(count - 1000) <= 5 * sigma
 
     def test_same_seed_identical_counts(self):
         spec = AnsatzSpec(3, 1)
@@ -267,7 +260,9 @@ class TestSample:
         state = prepare_state(spec, theta)
         a = sample(state, 500, np.random.default_rng(77))
         b = sample(state, 500, np.random.default_rng(77))
-        assert a == b
+        assert a.shots == b.shots
+        assert np.array_equal(a.counts.indices, b.counts.indices)
+        assert np.array_equal(a.counts.weights, b.counts.weights)
 
     def test_invalid_shots(self):
         state = prepare_state(AnsatzSpec(1, 0), [0.0])
@@ -280,12 +275,14 @@ class TestSample:
         state = prepare_state(spec, rng.random(spec.parameter_count) * 2 * np.pi)
         expected = exact_distribution(state)
         counts = sample(state, 100_000, np.random.default_rng(32))
+        observed_counts = np.zeros(16, dtype=np.int64)
+        observed_counts[counts.counts.indices] = counts.counts.weights
         chi2 = 0.0
         dof = 0
-        for key, p in expected.items():
+        for index, p in zip(expected.indices.tolist(), expected.weights.tolist()):
             if 100_000 * p < 5:
                 continue
-            observed = counts.counts.get(key, 0)
+            observed = observed_counts[index].item()
             chi2 += (observed - 100_000 * p) ** 2 / (100_000 * p)
             dof += 1
         # Generous bound: far beyond any plausible quantile for <= 16 bins.
@@ -301,7 +298,7 @@ def triangle_qubo(triangle):
 
 def weights_of(pairs):
     """The ``BasisWeights`` of a bitstring -> weight dict, its keys of one length."""
-    items = sorted((bitstring_to_index(key), weight) for key, weight in pairs.items())
+    items = sorted((int(key[::-1], 2), weight) for key, weight in pairs.items())
     (m,) = {len(key) for key in pairs}
     return BasisWeights(np.array([i for i, _ in items]), np.array([w for _, w in items]), m)
 
@@ -349,7 +346,10 @@ class TestEstimateEnergy:
             estimate_energy(weights, triangle_qubo)
 
     def test_zero_weight_key_never_best(self, triangle_qubo):
-        e_exp, (best, best_energy) = estimate_energy(weights_of({"1101": 0.0, "0000": 1.0}), triangle_qubo)
+        # All-zero angles put no weight on "1101", the block's minimum, so
+        # the distribution omits it.
+        dist = exact_distribution(prepare_state(AnsatzSpec(4, 0), np.zeros(4)))
+        e_exp, (best, best_energy) = estimate_energy(dist, triangle_qubo)
         assert (best, best_energy) == ("0000", 10.0)
         assert e_exp == 10.0
 
@@ -359,7 +359,7 @@ class TestEstimateEnergy:
             estimate_energy(weights_of({"1101": 1.0, "0000": bad}), triangle_qubo)
 
     def test_all_zero_weights_rejected(self, triangle_qubo):
-        with pytest.raises(ValueError, match="positive total"):
+        with pytest.raises(ValueError, match="'0000' must be finite and positive"):
             estimate_energy(weights_of({"1101": 0.0, "0000": 0.0}), triangle_qubo)
 
     def test_dimension_mismatch(self, triangle_qubo):
@@ -382,8 +382,9 @@ class TestEstimateEnergy:
             state = prepare_state(spec, theta)
             dist = exact_distribution(state)
             e_exact, _ = estimate_energy(dist, q)
+            keys = [index_to_bitstring(i, q.dim) for i in dist.indices.tolist()]
             second_moment = sum(
-                p * qubo_energy(q, z) ** 2 for z, p in dist.items()
+                p * qubo_energy(q, z) ** 2 for z, p in zip(keys, dist.weights.tolist())
             )
             std_error = np.sqrt(max(second_moment - e_exact**2, 0.0) / 1000.0)
             counts = sample(state, 1000, np.random.default_rng(100 + trial))
