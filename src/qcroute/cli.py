@@ -101,9 +101,9 @@ def _result_line(cable_id: str, feasible: bool, route, objective, energy: float)
 def cmd_solve(args) -> int:
     instance = _load_instance(args.path)
     # Every method checks the solver flags and the kappa before the first
-    # cable, also those it does not use.
+    # cable, also those it does not use; only the VQE draws shots.
     config = _solver_config(args)
-    _check_kappa(instance, args.kappa)
+    _check_kappa(instance, args.kappa, config.shots if args.method == "vqe" else 0)
     if args.cable:
         wanted = {instance.cable(args.cable).id}
     else:

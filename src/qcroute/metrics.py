@@ -19,13 +19,12 @@ import contextlib
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .instance import Instance
 from .oracle import shortest_path_opt
-from .vqe import VqeConfig, cable_block, cable_subseed, solve_decomposed
+from .vqe import VqeConfig, cable_block, cable_subseed, check_shots, solve_decomposed
 
 __all__ = [
     "RunRecord",
@@ -42,6 +41,10 @@ __all__ = [
 ]
 
 CSV_HEADER = "layout,cable_id,kappa,seed,feasible,energy,objective,oracle_objective,opt_gap"
+
+# concurrent.futures' pool, imported by the first sweep that forks workers:
+# loading multiprocessing would cost every other process about 28 ms.
+ProcessPoolExecutor = None
 
 
 def _round12(x: float) -> float:
@@ -126,11 +129,13 @@ def opt_gap_stats(
     return mean, quartiles
 
 
-def _check_kappa(instance: Instance, kappa: float) -> None:
+def _check_kappa(instance: Instance, kappa: float, shots: int = 0) -> None:
     """Raise ValueError unless ``kappa`` gives every cable a valid block:
-    positive and finite, with finite etas and a finite energy bound."""
-    for cable in instance.cables:
-        cable_block(instance, cable, kappa)
+    positive and finite, with finite etas and a finite energy bound, and,
+    once every block is built, one whose ``shots`` sampled energies sum
+    without overflow (``check_shots``)."""
+    for block in [cable_block(instance, cable, kappa) for cable in instance.cables]:
+        check_shots(block, shots)
 
 
 def _sweep_cell(args) -> list[RunRecord]:
@@ -179,8 +184,9 @@ def run_sweep(
     report is identical for any job count.  ``progress`` is called with
     (kappa, seed) as each cell completes.  A kappa that is not positive and
     finite, scales some cable's penalties or block coefficients past the
-    float range, or repeats an earlier one raises ValueError naming the
-    entry before the first cell.
+    float range, lets ``config.shots`` sampled energies overflow their sum,
+    or repeats an earlier one raises ValueError naming the entry before the
+    first cell.
     """
     if not kappas:
         raise ValueError("kappas must be nonempty")
@@ -191,7 +197,7 @@ def run_sweep(
     seen = set()  # kappas as the records key them, at 12 significant digits
     for position, kappa in enumerate(kappas, start=1):
         try:
-            _check_kappa(instance, float(kappa))
+            _check_kappa(instance, float(kappa), config.shots)
         except ValueError as exc:
             raise ValueError(f"kappa entry {position} ({kappa!r}): {exc}") from None
         if _round12(kappa) in seen:
@@ -207,7 +213,13 @@ def run_sweep(
     ]
     chunks = []
     workers = min(jobs, len(cells))  # the pool starts every worker at once
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    if workers > 1:
+        global ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
+    else:
+        pool = contextlib.nullcontext()
     with pool:
         for cell, chunk in zip(cells, (pool.map if workers > 1 else map)(_sweep_cell, cells)):
             chunks.append(chunk)

@@ -259,8 +259,15 @@ def prepare_state(spec: AnsatzSpec, theta) -> Statevector:
 
 
 def exact_distribution(state: Statevector) -> BasisWeights:
-    """Measurement distribution |amplitude|^2; zero-probability states omitted."""
+    """Measurement distribution |amplitude|^2; zero-probability states omitted.
+
+    With every probability nonzero, the usual case, the squared amplitudes
+    are the weights as they are, over indices 0..2^m-1; otherwise the
+    nonzero ones are gathered.
+    """
     probs = np.square(state.amplitudes)
+    if probs.min() > 0:  # no mask or gather; a NaN takes the gather, whose check names it
+        return BasisWeights(np.arange(len(probs)), probs, state.num_qubits)
     nonzero = np.flatnonzero(probs != 0)  # nonzero scans a bool mask faster than floats
     return BasisWeights(nonzero, probs[nonzero], state.num_qubits)
 

@@ -47,9 +47,11 @@ __all__ = [
 # Largest block any solver takes: a 2^24-amplitude float64 statevector (128 MiB;
 # a solve adds the probabilities and the multinomial counts, no state-sized
 # scratch) or 2^24 enumerated bitstrings (energies formed 2^12 rows at a time in
-# about 1.5 MiB of reused buffers; the energy table itself is 128 MiB).  Brute
-# force screens every 2^12-row chunk at about 12 flops a state and forms only
-# the chunks that can hold the minimum.
+# about 1.5 MiB of reused buffers; the energy table itself is 128 MiB).  The
+# row of blocks that ``vqe.cable_block`` keeps holds one table per cable after
+# an exact solve: four 24-variable tables are 512 MiB.  Brute force screens
+# every 2^12-row chunk at about 12 flops a state and forms only the chunks that
+# can hold the minimum.
 BLOCK_DIM_CAP = 24
 
 
@@ -278,6 +280,7 @@ def build_cable_qubo(instance: Instance, cable: Cable, penalties: PenaltyWeights
         raise ValueError(
             f"block of cable {cable.id!r} at kappa {penalties.kappa} has a non-finite coefficient or energy bound"
         )
+    q.flags.writeable = False  # blocks are shared (``vqe.cable_block``)
     return CableQubo(
         dim=dim,
         q=q,

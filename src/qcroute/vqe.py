@@ -13,6 +13,7 @@ seed is expanded into independent per-cable and per-purpose substreams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Generator
 
@@ -34,6 +35,7 @@ __all__ = [
     "solve_cable",
     "solve_decomposed",
     "cable_subseed",
+    "check_shots",
 ]
 
 
@@ -203,10 +205,13 @@ def vqe_solve(q: CableQubo, config: VqeConfig, instance: Instance) -> SolveResul
     """Variationally minimize one cable block.
 
     The instance is needed to decode feasibility and routing cost of the
-    returned bitstring; the cable is looked up by the block's cable id.
+    returned bitstring; the cable is looked up by the block's cable id.  A
+    block whose ``config.shots`` sampled energies could overflow their sum
+    raises ValueError (``check_shots``) before the first evaluation.
     """
     if q.dim > BLOCK_DIM_CAP:
         raise ValueError(f"dimension {q.dim} exceeds statevector cap {BLOCK_DIM_CAP}")
+    check_shots(q, config.shots)
     cable = instance.cable(q.cable_id)
     spec = AnsatzSpec(num_qubits=q.dim, reps=config.reps)
     theta_stream, sample_stream = np.random.SeedSequence(config.seed).spawn(2)
@@ -250,9 +255,54 @@ def cable_subseed(master_seed: int, cable_index: int) -> int:
     return int(np.random.SeedSequence((master_seed, cable_index)).generate_state(1, np.uint64)[0])
 
 
+def check_shots(q: CableQubo, shots: int) -> None:
+    """Raise ValueError unless ``shots`` sampled energies of ``q`` sum without overflow.
+
+    A count-weighted sum of ``shots`` energies is at most ``shots`` times the
+    block's energy bound ``sum |Q_ij| + |offset|``; as in
+    ``build_cable_qubo``, twice that must be finite.  ``shots=0`` weighs the
+    energies by probabilities, which the block's own bound covers.
+    """
+    if shots and not math.isfinite(2.0 * shots * (float(np.abs(q.q).sum()) + abs(q.offset))):
+        raise ValueError(
+            f"{shots} shots of cable {q.cable_id!r} at kappa {q.penalties.kappa} overflow the sampled energy sum"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Row:
+    """The blocks built so far for one (instance, kappa) row, keyed by cable id."""
+
+    instance: Instance
+    kappa: float
+    blocks: dict[str, tuple[Cable, CableQubo]] = field(default_factory=dict)
+
+
+# The latest row, replaced whole when the key changes: a caller keeps the row
+# it matched, so a concurrent swap can cost a rebuild but never mix two keys.
+_row: _Row | None = None
+
+
 def cable_block(instance: Instance, cable: Cable, kappa: float) -> CableQubo:
-    """One cable's block with its baseline penalty weights scaled by ``kappa``."""
-    return build_cable_qubo(instance, cable, scale_penalties(default_penalties(instance, cable), kappa))
+    """One cable's block with its baseline penalty weights scaled by ``kappa``.
+
+    The blocks of the latest (instance, kappa) row are kept, the key matched
+    by value, so the solves of one row (the seeds of a sweep row, in each
+    worker process too) share one read-only block per cable and build its
+    ``energy_table`` once.  Another instance or kappa replaces the whole
+    row, so at most one row is held: with ``shots=0``, ``num_cables``
+    tables of ``2^dim`` floats.
+    """
+    global _row
+    row = _row
+    if row is None or row.kappa != kappa or row.instance != instance:
+        row = _row = _Row(instance, kappa)
+    kept = row.blocks.get(cable.id)
+    if kept is not None and kept[0] == cable:
+        return kept[1]
+    block = build_cable_qubo(instance, cable, scale_penalties(default_penalties(instance, cable), kappa))
+    row.blocks[cable.id] = (cable, block)
+    return block
 
 
 def solve_cable(instance: Instance, index: int, kappa: float, config: VqeConfig) -> SolveResult:

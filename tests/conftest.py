@@ -1,6 +1,6 @@
 import pytest
 
-from qcroute import bundled_layouts, parse_instance
+from qcroute import bundled_layouts, parse_instance, vqe
 
 TRIANGLE_DOC = """
 {
@@ -68,3 +68,9 @@ def layout1():
 @pytest.fixture(scope="session")
 def layout2():
     return bundled_layouts()[1]
+
+
+@pytest.fixture(autouse=True)
+def cold_block_row():
+    """Every test starts with no kept (instance, kappa) row of blocks."""
+    vqe._row = None

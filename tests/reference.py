@@ -185,6 +185,17 @@ def parent_energy_table(q):
     return ((bits @ q.q) * bits).sum(axis=1) + q.offset
 
 
+def parent_exact_distribution(state):
+    """``exact_distribution`` frozen from its gather-only form.
+
+    The squared amplitudes, then the nonzero ones gathered by index, for
+    every state; returns (indices, weights).
+    """
+    probs = np.square(state.amplitudes)
+    nonzero = np.flatnonzero(probs != 0)
+    return nonzero, probs[nonzero]
+
+
 def parent_estimate_energy(weights, q):
     """``estimate_energy`` frozen from its form before the per-block table.
 

@@ -62,7 +62,9 @@ def test_summary_agrees_with_the_results(spans, layout1):
     assert summary["quantum.exact_calls"] == exact_evals
     assert summary["oracle.brute_force_states"] == 1 << block.dim
     assert summary["oracle.feasibility_calls"] == solves
-    assert summary["qubo.build_calls"] == 3 * (solves + 1)  # default, scale, build per block
+    # default, scale, build per block, once: the exact solve and the last
+    # block reuse the sampled solve's row
+    assert summary["qubo.build_calls"] == 3 * layout1.num_cables
     assert solves <= summary["vqe.evals_to_best"] <= summary["vqe.evals"]
     assert 0 <= summary["vqe.converged_solves"] <= solves
     # An exact distribution at these angles has all 2^m outcomes, a sample 1 to 50.

@@ -173,6 +173,19 @@ class TestSolve:
         assert captured.out == ""
         assert f"block of cable '{cable}' at kappa {float(kappa)}" in captured.err
 
+    def test_overflowing_sampled_energy_sum_exit_2_before_the_first_cable(self, capsys):
+        # At 1e304 each block's energy bound is finite, but 1000 shots of it are not.
+        assert main(["solve", "layout-1", "--kappa", "1e304", "--maxiter", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1000 shots of cable 'c1' at kappa 1e+304 overflow" in captured.err
+
+    @pytest.mark.parametrize("flags", [["--shots", "0"], ["--method", "brute"], ["--method", "dijkstra"]])
+    def test_no_shots_drawn_at_1e304_exit_0(self, flags, capsys):
+        # No sampled sum is formed, so the block bound alone admits the kappa.
+        assert main(["solve", "layout-1", "--kappa", "1e304", "--maxiter", "3"] + flags) == 0
+        assert capsys.readouterr().out.count("cable=") == 4
+
     def test_vqe_lines_come_from_the_library_solve(self, layout1, capsys):
         assert main(["solve", "layout-1", "--seed", "7", "--shots", "100", "--maxiter", "20"]) == 0
         cli_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("cable=")]
@@ -350,6 +363,20 @@ class TestSweepAndReport:
         assert "done" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "r.csv").exists()
+
+    def test_overflowing_sampled_energy_sum_fails_before_the_first_cell(self, tmp_path, capsys):
+        args = ["sweep", "layout-1", "--kappas", "1,1e304", "--seeds", "1", "--maxiter", "3"]
+        assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert "kappa entry 2 (1e+304): 1000 shots of cable 'c1'" in captured.err
+        assert "done" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_exact_sweep_at_1e304_exit_0(self, tmp_path, capsys):
+        args = ["sweep", "layout-1", "--kappas", "1,1e304", "--seeds", "1", "--maxiter", "3", "--shots", "0"]
+        assert main(args + ["--out", str(tmp_path / "r.csv")]) == 0
+        assert len((tmp_path / "r.csv").read_text().splitlines()) == 1 + 2 * 4
 
     def test_shots_over_int64_fail_before_the_first_cell(self, tmp_path, capsys):
         args = ["sweep", "layout-1", "--kappas", "1", "--seeds", "1", "--shots", "99999999999999999999"]

@@ -10,7 +10,7 @@ from qcroute import (
     records_to_csv,
     run_sweep,
 )
-from qcroute import metrics
+from qcroute import metrics, qubo, vqe
 from qcroute.metrics import CSV_HEADER, plot_tables, summary_table
 
 
@@ -183,6 +183,43 @@ class TestRunSweep:
     def test_rejects_nonpositive_jobs(self, layout1, jobs):
         with pytest.raises(ValueError, match="jobs"):
             run_sweep(layout1, [1.0], 1, FAST, jobs=jobs)
+
+
+class TestRowSharing:
+    """A sweep row's seeds share its blocks, and the bytes do not depend on it."""
+
+    EXACT = VqeConfig(shots=0, maxiter=3, seed=5)
+    KAPPAS = [0.5, 1.0]
+
+    @pytest.fixture()
+    def tables_built(self, monkeypatch):
+        built = []
+        chunk_energies = qubo._chunk_energies
+
+        def spy(q, columns, table=None, starts=None):
+            if table is not None:
+                built.append((q.cable_id, q.penalties.kappa))
+            return chunk_energies(q, columns, table, starts)
+
+        monkeypatch.setattr(qubo, "_chunk_energies", spy)
+        return built
+
+    def test_each_table_is_built_once_per_row(self, layout1, tables_built):
+        run_sweep(layout1, self.KAPPAS, 3, self.EXACT, jobs=1)
+        assert sorted(tables_built) == sorted((c.id, k) for k in self.KAPPAS for c in layout1.cables)
+
+    def test_csv_is_the_same_with_a_cold_row_for_every_cell(self, layout1, tables_built, monkeypatch):
+        kept = records_to_csv(run_sweep(layout1, self.KAPPAS, 3, self.EXACT, jobs=1).records)
+        solve = metrics.solve_decomposed
+
+        def cold(*args):
+            vqe._row = None
+            return solve(*args)
+
+        monkeypatch.setattr(metrics, "solve_decomposed", cold)
+        tables_built.clear()
+        assert records_to_csv(run_sweep(layout1, self.KAPPAS, 3, self.EXACT, jobs=1).records) == kept
+        assert len(tables_built) == len(self.KAPPAS) * 3 * layout1.num_cables  # one per cable per cell
 
 
 class TestCsvRoundTrip:

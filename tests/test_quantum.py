@@ -24,6 +24,7 @@ from test_oracle import RING_18_CHORDS, baseline_qubo, chorded_ring, zero_qubo
 from reference import (
     cnot_chain_by_swaps,
     parent_estimate_energy,
+    parent_exact_distribution,
     parent_prepare_state,
     reference_ansatz,
     reference_energy,
@@ -193,6 +194,23 @@ class TestExactDistribution:
         for _ in range(20):
             state = prepare_state(spec, rng.random(spec.parameter_count) * 2 * np.pi)
             assert sum(exact_distribution(state).weights.tolist()) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "m, reps, theta, full",
+        [(m, 1, None, True) for m in (1, 2, 5, 11, 16)]
+        + [(3, 0, np.zeros(3), False), (8, 1, np.zeros(16), False), (8, 0, np.array([0.0, 1.0] * 4), False)],
+    )
+    def test_same_bytes_as_the_parent_gather(self, m, reps, theta, full):
+        # Random angles give every state weight (the weights pass through);
+        # zero angles leave some states out (the weights are gathered).
+        if theta is None:
+            theta = np.random.default_rng(m).uniform(-2 * np.pi, 2 * np.pi, AnsatzSpec(m, reps).parameter_count)
+        state = prepare_state(AnsatzSpec(m, reps), theta)
+        dist = exact_distribution(state)
+        indices, weights = parent_exact_distribution(state)
+        assert (len(dist) == 1 << m) == full
+        assert dist.indices.dtype == indices.dtype and dist.indices.tobytes() == indices.tobytes()
+        assert dist.weights.dtype == weights.dtype and dist.weights.tobytes() == weights.tobytes()
 
 
 class TestBasisWeights:

@@ -124,6 +124,13 @@ class TestBuildCableQubo:
         assert q.offset == 10.0
         assert q.vmap == VariableMap(segment_vars=("AB", "BC", "AC"), node_vars=("B",))
 
+    def test_q_is_read_only(self, triangle):
+        # Blocks are shared by every solve of their (instance, kappa) row.
+        q = make_qubo(triangle, "c1")
+        assert not q.q.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            q.q[0, 0] = 1.0
+
     def test_overflowing_coefficient_rejected_without_a_warning(self, triangle):
         # The etas (5, 5, 3, 1) * 1.6e307 and the offset 10 * 1.6e307 are
         # finite; the node diagonal 12 * 1.6e307 is not.

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,13 +12,15 @@ from qcroute import (
     build_cable_qubo,
     default_penalties,
     minimize,
+    parse_instance,
     qubo_energy,
+    render_instance,
     scale_penalties,
     solve_decomposed,
     vqe_solve,
 )
 from qcroute.qubo import BLOCK_DIM_CAP as STATEVECTOR_DIM_CAP
-from qcroute.vqe import cable_block, cable_subseed, solve_cable
+from qcroute.vqe import cable_block, cable_subseed, check_shots, solve_cable
 from reference import parent_minimize
 from test_oracle import zero_qubo
 
@@ -231,3 +237,55 @@ class TestSolveDecomposed:
         expected = baseline_qubo(layout1, cable, kappa=0.5)
         assert block.penalties == expected.penalties
         assert np.array_equal(block.q, expected.q) and block.offset == expected.offset
+
+
+class TestBlockRow:
+    """``cable_block`` keeps the blocks of the latest (instance, kappa) row."""
+
+    def test_a_repeated_key_gets_the_same_block(self, layout1):
+        block = cable_block(layout1, layout1.cables[2], 1.0)
+        assert cable_block(layout1, layout1.cables[2], 1.0) is block
+        # Matched by value: a re-parsed instance (as a sweep worker receives
+        # it) and an equal kappa of another type hit the same row.
+        again = parse_instance(render_instance(layout1))
+        assert again is not layout1
+        assert cable_block(again, again.cables[2], 1) is block
+
+    def test_a_foreign_cable_under_a_kept_id_gets_its_own_block(self, layout1):
+        cable = layout1.cables[0]
+        kept = cable_block(layout1, cable, 1.0)
+        foreign = dataclasses.replace(cable, costs={k: 2.0 * v for k, v in cable.costs.items()})
+        block = cable_block(layout1, foreign, 1.0)
+        assert block is not kept
+        assert np.array_equal(block.q, baseline_qubo(layout1, foreign).q)
+
+    def test_solves_share_the_row_and_its_tables(self, layout1):
+        config = VqeConfig(shots=0, maxiter=2, seed=3)
+        solve_decomposed(layout1, 1.0, config)
+        tables = [cable_block(layout1, c, 1.0).__dict__["energy_table"] for c in layout1.cables]
+        solve_decomposed(layout1, 1.0, dataclasses.replace(config, seed=4))
+        assert all(cable_block(layout1, c, 1.0).energy_table is t for c, t in zip(layout1.cables, tables))
+
+    def test_another_kappa_releases_the_previous_row(self, layout1):
+        config = VqeConfig(shots=0, maxiter=2, seed=3)
+        solve_decomposed(layout1, 1.0, config)
+        block = cable_block(layout1, layout1.cables[0], 1.0)
+        refs = [weakref.ref(block), weakref.ref(block.energy_table)]
+        del block
+        solve_decomposed(layout1, 2.0, config)
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+
+class TestCheckShots:
+    def test_overflowing_sampled_sum_is_rejected_before_the_first_evaluation(self, layout1):
+        # At 1e304 one energy is finite, 1000 count-weighted ones are not.
+        block = baseline_qubo(layout1, layout1.cables[0], kappa=1e304)
+        with pytest.raises(ValueError, match=r"1000 shots of cable 'c1' at kappa 1e\+304 overflow"):
+            vqe_solve(block, VqeConfig(shots=1000, maxiter=2), layout1)
+        check_shots(block, 1)
+        check_shots(block, 0)
+        assert vqe_solve(block, VqeConfig(shots=0, maxiter=2), layout1).evaluations_used == 2
+
+    def test_largest_shot_count_at_kappa_one(self, layout1):
+        check_shots(baseline_qubo(layout1, layout1.cables[0]), 2**63 - 1)
