@@ -29,7 +29,7 @@ from .metrics import (
 )
 from .oracle import brute_force_min, shortest_path_opt
 from .qubo import ising_document, qubo_document
-from .vqe import VqeConfig, cable_block, solve_cable
+from .vqe import VqeConfig, cable_block, solve_cables
 
 __all__ = ["main", "main_entry"]
 
@@ -98,6 +98,16 @@ def _result_line(cable_id: str, feasible: bool, route, objective, energy: float)
     )
 
 
+def _classical_outcome(method: str, instance: Instance, cable, kappa: float) -> tuple:
+    """(feasible, route, objective, energy) of one cable by shortest paths or brute force."""
+    if method == "dijkstra":
+        solution = shortest_path_opt(instance, cable)
+        return True, solution.route, solution.objective, solution.energy
+    solution = brute_force_min(cable_block(instance, cable, kappa), instance)
+    feasible = bool(solution.route)
+    return feasible, solution.route, solution.objective if feasible else None, solution.energy
+
+
 def cmd_solve(args) -> int:
     instance = _load_instance(args.path)
     # Every method checks the solver flags and the kappa before the first
@@ -105,34 +115,22 @@ def cmd_solve(args) -> int:
     config = _solver_config(args)
     _check_kappa(instance, args.kappa, config.shots if args.method == "vqe" else 0)
     if args.cable:
-        wanted = {instance.cable(args.cable).id}
+        indices = [instance.cables.index(instance.cable(args.cable))]
     else:
-        wanted = {c.id for c in instance.cables}
+        indices = list(range(instance.num_cables))
+    if args.method == "vqe":
+        outcomes = [
+            (r.feasibility.feasible_path, r.feasibility.decoded_route or (), r.objective, r.energy)
+            for r in solve_cables(instance, indices, args.kappa, config)
+        ]
+    else:
+        outcomes = [_classical_outcome(args.method, instance, instance.cables[index], args.kappa) for index in indices]
 
-    lines = []
-    total_energy = 0.0
-    all_feasible = True
-    for index, cable in enumerate(instance.cables):
-        if cable.id not in wanted:
-            continue
-        if args.method == "dijkstra":
-            solution = shortest_path_opt(instance, cable)
-            feasible, route, objective, energy = True, solution.route, solution.objective, solution.energy
-        elif args.method == "brute":
-            solution = brute_force_min(cable_block(instance, cable, args.kappa), instance)
-            feasible = bool(solution.route)
-            route, objective, energy = solution.route, solution.objective if feasible else None, solution.energy
-        else:
-            result = solve_cable(instance, index, args.kappa, config)
-            feasible = result.feasibility.feasible_path
-            route, objective, energy = result.feasibility.decoded_route or (), result.objective, result.energy
-        lines.append(_result_line(cable.id, feasible, route, objective, energy))
-        total_energy += energy
-        all_feasible = all_feasible and feasible
-
-    for line in lines:
-        print(line)
+    for index, (feasible, route, objective, energy) in zip(indices, outcomes):
+        print(_result_line(instance.cables[index].id, feasible, route, objective, energy))
     if not args.cable:
+        total_energy = sum(energy for _, _, _, energy in outcomes)
+        all_feasible = all(feasible for feasible, _, _, _ in outcomes)
         print(f"total_energy={_fmt(total_energy)} all_feasible={'true' if all_feasible else 'false'}")
     return EXIT_OK
 
@@ -255,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # numpy refuses an oversized array before allocating it
+        print(f"error: {exc}; reduce --reps, --shots, --seeds or the block dimension", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main_entry() -> None:

@@ -139,9 +139,9 @@ def _check_kappa(instance: Instance, kappa: float, shots: int = 0) -> None:
 
 
 def _sweep_cell(args) -> list[RunRecord]:
-    instance, kappa, run_index, config, oracle_objectives = args
+    instance, kappa, run_index, config, oracle_objectives, workers = args
     assignment = solve_decomposed(
-        instance, kappa, replace(config, seed=cable_subseed(config.seed, run_index))
+        instance, kappa, replace(config, seed=cable_subseed(config.seed, run_index)), workers
     )
     records = []
     for result in assignment.results:
@@ -180,13 +180,14 @@ def run_sweep(
     One seed index drives all kappas (common random numbers across scales);
     classical optima are computed once per cable.  Cells are independent and
     may run in up to ``jobs`` parallel processes, never more than there
-    are cells; records are reduced in sorted order either way, so the
-    report is identical for any job count.  ``progress`` is called with
-    (kappa, seed) as each cell completes.  A kappa that is not positive and
-    finite, scales some cable's penalties or block coefficients past the
-    float range, lets ``config.shots`` sampled energies overflow their sum,
-    or repeats an earlier one raises ValueError naming the entry before the
-    first cell.
+    are cells; the workers split the usable cores between the cable threads
+    of their cells (``vqe.solve_cables``).  Records are reduced in sorted
+    order either way, so the report is identical for any job count.
+    ``progress`` is called with (kappa, seed) as each cell completes.  A
+    kappa that is not positive and finite, scales some cable's penalties or
+    block coefficients past the float range, lets ``config.shots`` sampled
+    energies overflow their sum, or repeats an earlier one raises
+    ValueError naming the entry before the first cell.
     """
     if not kappas:
         raise ValueError("kappas must be nonempty")
@@ -206,13 +207,13 @@ def run_sweep(
     oracle_objectives = {
         c.id: _round12(shortest_path_opt(instance, c).objective) for c in instance.cables
     }
+    workers = min(jobs, len(kappas) * num_seeds)  # the pool starts every worker at once
     cells = [
-        (instance, float(kappa), run_index, config, oracle_objectives)
+        (instance, float(kappa), run_index, config, oracle_objectives, workers)
         for kappa in kappas
         for run_index in range(num_seeds)
     ]
     chunks = []
-    workers = min(jobs, len(cells))  # the pool starts every worker at once
     if workers > 1:
         global ProcessPoolExecutor
         if ProcessPoolExecutor is None:

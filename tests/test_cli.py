@@ -186,6 +186,15 @@ class TestSolve:
         assert main(["solve", "layout-1", "--kappa", "1e304", "--maxiter", "3"] + flags) == 0
         assert capsys.readouterr().out.count("cable=") == 4
 
+    def test_oversized_allocation_exit_2_naming_the_sizes(self, capsys):
+        # minimize's start point would take 80 TiB; numpy refuses it before allocating.
+        assert main(["solve", "layout-1", "--cable", "c1", "--reps", "1000000000000", "--maxiter", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "80.0 TiB" in line
+        assert all(size in line for size in ("--reps", "--shots", "--seeds", "block dimension"))
+
     def test_vqe_lines_come_from_the_library_solve(self, layout1, capsys):
         assert main(["solve", "layout-1", "--seed", "7", "--shots", "100", "--maxiter", "20"]) == 0
         cli_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("cable=")]
@@ -435,3 +444,12 @@ class TestModuleEntryPoints:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "cables=4 segments=7 nodes=6 qubits_per_cable=11\n"
+
+    def test_import_loads_no_pool_module(self):
+        # The thread and process pools are imported by the first solve or sweep that uses them.
+        src = str(Path(qcroute.__file__).resolve().parents[1])
+        code = "import sys, qcroute; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

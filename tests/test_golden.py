@@ -1,9 +1,10 @@
 """Byte-identity of pinned-seed CLI outputs.
 
 The sha256 values below were recorded from the command outputs before the
-evaluation core was rewritten to work on basis indices.  A change that alters
-any draw, float or formatting shows up here.  Do not regenerate these hashes to
-make a change pass: a mismatch means the outputs changed.
+evaluation core was rewritten to work on basis indices, the sampled
+``layout-2`` ones before a solve ran its cables on threads.  A change that
+alters any draw, float or formatting shows up here.  Do not regenerate these
+hashes to make a change pass: a mismatch means the outputs changed.
 """
 
 import hashlib
@@ -26,6 +27,17 @@ def test_small_sweep_csv_and_stdout(tmp_path, capsys):
     assert _sha256(stdout.encode()) == "1fad1b8a0f795daa1e12e705613b3dc8565d8b4e3814b36af812809258a6b1af"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_small_layout2_sweep_csv_stdout_and_stderr(jobs, tmp_path, capsys):
+    out = tmp_path / "results.csv"
+    args = ["sweep", "layout-2", "--kappas", "0.5,2", "--seeds", "2", "--maxiter", "5", "--seed", "4"]
+    assert main(args + ["--jobs", jobs, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert _sha256(out.read_bytes()) == "11aeae65d677377cb59ed549753e9bea5ca5077daa6b29b92691615b4f5714f4"
+    assert _sha256(captured.out.encode()) == "25ccb728f53fa6daa2bedf89034d37a5015002c986eaf1e073b016e4c9286a3d"
+    assert _sha256(captured.err.encode()) == "a35558e99f6950d2f81b6ca5d55042bd4a2e2560b808d46c35bf0b1cf1cbc303"
+
+
 @pytest.mark.parametrize(
     "args, digest",
     [
@@ -34,11 +46,15 @@ def test_small_sweep_csv_and_stdout(tmp_path, capsys):
             "f2b5f94d9fdfa8f2db5cc0eaae5f8a1982491ceccf7fb0c615606028ece99a37",
         ),
         (
+            ["solve", "layout-2", "--maxiter", "10", "--seed", "3"],
+            "6dbf2df0e00748832683fb0b02eb7728bd44a74b2e3dc44dd978329ef6d8031f",
+        ),
+        (
             ["solve", "layout-1", "--seed", "3"],
             "818c5c43b5fb0be8e2573e792510113c53c9750c93eb5c71253a8d6a15cfcd0b",
         ),
     ],
-    ids=["layout-2-exact", "layout-1-sampled"],
+    ids=["layout-2-exact", "layout-2-sampled", "layout-1-sampled"],
 )
 def test_solve_stdout(args, digest, capsys):
     assert main(args) == 0

@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -17,10 +19,12 @@ from qcroute import (
     render_instance,
     scale_penalties,
     solve_decomposed,
+    vqe,
     vqe_solve,
 )
 from qcroute.qubo import BLOCK_DIM_CAP as STATEVECTOR_DIM_CAP
-from qcroute.vqe import cable_block, cable_subseed, check_shots, solve_cable
+from qcroute.cli import main
+from qcroute.vqe import cable_block, cable_subseed, check_shots, solve_cable, solve_cables
 from reference import parent_minimize
 from test_oracle import zero_qubo
 
@@ -237,6 +241,74 @@ class TestSolveDecomposed:
         expected = baseline_qubo(layout1, cable, kappa=0.5)
         assert block.penalties == expected.penalties
         assert np.array_equal(block.q, expected.q) and block.offset == expected.offset
+
+
+class TestConcurrentCables:
+    """A sampled solve of 16-qubit blocks runs its cables on threads, with the loop's results."""
+
+    CONFIG = VqeConfig(shots=50, maxiter=3, seed=8)
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """Two usable cores on any host; lists the thread count of every pool started."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        started = []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(vqe, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(vqe, "ThreadPoolExecutor", Spy)
+        return started
+
+    def test_results_are_solve_cable_in_cable_order(self, layout2, pools):
+        expected = [solve_cable(layout2, index, 1.0, self.CONFIG) for index in range(layout2.num_cables)]
+        assert pools == []
+        assignment = solve_decomposed(layout2, 1.0, self.CONFIG)
+        assert list(assignment.results) == expected
+        assert solve_decomposed(layout2, 1.0, self.CONFIG) == assignment
+        assert pools == [2, 2]
+
+    @pytest.mark.parametrize("cores, workers, threads", [(8, 1, 4), (4, 2, 2), (3, 2, None), (2, 4, None)])
+    def test_sweep_workers_share_the_cores(self, layout2, pools, monkeypatch, cores, workers, threads):
+        monkeypatch.setattr(vqe, "_usable_cores", lambda: cores)
+        solve_decomposed(layout2, 1.0, dataclasses.replace(self.CONFIG, maxiter=1), workers=workers)
+        assert pools == ([] if threads is None else [threads])
+
+    def test_the_first_failing_cable_in_order_raises(self, layout2, pools, monkeypatch):
+        solve = vqe.vqe_solve
+
+        def failing(q, config, instance):
+            if q.cable_id == "k2":
+                time.sleep(0.05)  # k3 fails first
+                raise ValueError("k2 failed")
+            if q.cable_id == "k3":
+                raise ValueError("k3 failed")
+            return solve(q, config, instance)
+
+        monkeypatch.setattr(vqe, "vqe_solve", failing)
+        running = set(threading.enumerate())
+        with pytest.raises(ValueError, match="k2 failed"):
+            solve_decomposed(layout2, 1.0, self.CONFIG)
+        assert pools == [2]
+        assert set(threading.enumerate()) == running
+        monkeypatch.setattr(vqe, "_usable_cores", lambda: 1)  # the plain loop fails alike
+        with pytest.raises(ValueError, match="k2 failed"):
+            solve_decomposed(layout2, 1.0, self.CONFIG)
+        assert pools == [2]
+
+    def test_small_exact_and_single_cable_solves_start_no_pool(self, layout1, layout2, triangle, pools):
+        solve_decomposed(layout1, 1.0, self.CONFIG)  # 11-qubit blocks
+        solve_cables(layout2, [0, 1], 1.0, dataclasses.replace(self.CONFIG, shots=0, maxiter=1))
+        solve_decomposed(triangle, 1.0, self.CONFIG)
+        assert solve_cables(layout2, [2], 1.0, self.CONFIG) == [solve_cable(layout2, 2, 1.0, self.CONFIG)]
+        assert main(["solve", "layout-2", "--cable", "k3", "--shots", "50", "--maxiter", "3"]) == 0
+        assert pools == []
+        assert main(["solve", "layout-2", "--shots", "50", "--maxiter", "3"]) == 0
+        assert pools == [2]
 
 
 class TestBlockRow:
