@@ -60,7 +60,6 @@ from .vqe import (
     cable_block,
     minimize,
     solve_cable,
-    solve_cables,
     solve_decomposed,
     vqe_solve,
 )

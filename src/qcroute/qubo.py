@@ -50,8 +50,8 @@ __all__ = [
 # about 1.5 MiB of reused buffers; the energy table itself is 128 MiB).  The
 # row of blocks that ``vqe.cable_block`` keeps holds one table per cable after
 # an exact solve: four 24-variable tables are 512 MiB.  A sampled solve that
-# runs its cables on threads (``vqe.solve_cables``) multiplies the per-solve
-# memory by the thread count: two 24-qubit sampled solves hold about 768 MiB.
+# runs its cables on threads (``vqe.solve_cables``, at most 2) holds two solves
+# at once: two 24-qubit sampled solves hold about 768 MiB.
 # Brute force screens every 2^12-row chunk at about 12 flops a state and forms
 # only the chunks that can hold the minimum.
 BLOCK_DIM_CAP = 24

@@ -328,6 +328,11 @@ def solve_cable(instance: Instance, index: int, kappa: float, config: VqeConfig)
 # wait for the GIL.
 _CONCURRENT_MIN_STATES = 1 << 15
 
+# At most this many cable threads per process.  Only 2 threads were measured;
+# with about half of a 16-qubit evaluation holding the GIL, more cannot get
+# far below half the sequential time, while each adds a whole solve's memory.
+_CONCURRENT_MAX_THREADS = 2
+
 # concurrent.futures' thread pool, imported by the first solve that runs its
 # cables on threads, so that importing qcroute does not load it.
 ThreadPoolExecutor = None
@@ -346,25 +351,27 @@ def solve_cables(
 ) -> list[SolveResult]:
     """``solve_cable`` for each cable of ``indices``, the results in that order.
 
-    The row's blocks are built first, on the calling thread.  A sampled
-    solve (``shots >= 1``) of at least two cables whose blocks all have at
-    least ``_CONCURRENT_MIN_STATES`` states runs the cables on
-    ``min(cables, usable cores // workers)`` threads, where ``workers`` is
-    the number of processes that solve at the same time (a sweep's
+    The row's blocks are built first, on the calling thread, and each is
+    handed to ``vqe_solve`` with its cable's subseed.  A sampled solve
+    (``shots >= 1``) of at least two cables whose blocks all have at least
+    ``_CONCURRENT_MIN_STATES`` states runs the cables on
+    ``min(cables, 2, usable cores // workers)`` threads, where ``workers``
+    is the number of processes that solve at the same time (a sweep's
     workers); every other solve runs them one after another.  Each cable
     keeps its own seed streams and only reads its block, so the results are
     the loop's.  The first cable in order that fails raises its error, once
     the cables already running have finished; pending cables never start.
     """
     blocks = [cable_block(instance, instance.cables[index], kappa) for index in indices]
-    threads = min(len(indices), max(1, _usable_cores() // workers))
+    configs = [replace(config, seed=cable_subseed(config.seed, index)) for index in indices]
+    threads = min(len(blocks), _CONCURRENT_MAX_THREADS, _usable_cores() // workers)
     if config.shots == 0 or threads < 2 or min(1 << b.dim for b in blocks) < _CONCURRENT_MIN_STATES:
-        return [solve_cable(instance, index, kappa, config) for index in indices]
+        return [vqe_solve(block, cable_config, instance) for block, cable_config in zip(blocks, configs)]
     global ThreadPoolExecutor
     if ThreadPoolExecutor is None:
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda index: solve_cable(instance, index, kappa, config), indices))
+        return list(pool.map(lambda block, cable_config: vqe_solve(block, cable_config, instance), blocks, configs))
 
 
 def solve_decomposed(instance: Instance, kappa: float, config: VqeConfig, workers: int = 1) -> GlobalAssignment:

@@ -30,12 +30,12 @@ def test_small_sweep_csv_and_stdout(tmp_path, capsys):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_small_layout2_sweep_csv_stdout_and_stderr(jobs, tmp_path, capsys):
     out = tmp_path / "results.csv"
-    args = ["sweep", "layout-2", "--kappas", "0.5,2", "--seeds", "2", "--maxiter", "5", "--seed", "4"]
+    args = ["sweep", "layout-2", "--kappas", "2", "--seeds", "2", "--maxiter", "3", "--seed", "4"]
     assert main(args + ["--jobs", jobs, "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert _sha256(out.read_bytes()) == "11aeae65d677377cb59ed549753e9bea5ca5077daa6b29b92691615b4f5714f4"
-    assert _sha256(captured.out.encode()) == "25ccb728f53fa6daa2bedf89034d37a5015002c986eaf1e073b016e4c9286a3d"
-    assert _sha256(captured.err.encode()) == "a35558e99f6950d2f81b6ca5d55042bd4a2e2560b808d46c35bf0b1cf1cbc303"
+    assert _sha256(out.read_bytes()) == "ace4d1dddcf9d160cd3e48dbf2db91c77b067c495551092b50deba383c55b047"
+    assert _sha256(captured.out.encode()) == "eca562966192f7d496f280a70505aca5599c9bad575ae4b18eab853c9c6521a3"
+    assert _sha256(captured.err.encode()) == "6b369688aa3a10a3446a489f4cb203aa005a54bdb094af795049c83f27e1b6fe"
 
 
 @pytest.mark.parametrize(
@@ -46,8 +46,8 @@ def test_small_layout2_sweep_csv_stdout_and_stderr(jobs, tmp_path, capsys):
             "f2b5f94d9fdfa8f2db5cc0eaae5f8a1982491ceccf7fb0c615606028ece99a37",
         ),
         (
-            ["solve", "layout-2", "--maxiter", "10", "--seed", "3"],
-            "6dbf2df0e00748832683fb0b02eb7728bd44a74b2e3dc44dd978329ef6d8031f",
+            ["solve", "layout-2", "--maxiter", "3", "--seed", "3"],
+            "629ce2f672a94ca56c1bd04c3b60e21320b15975e63413ded5c5e07e5710d6e8",
         ),
         (
             ["solve", "layout-1", "--seed", "3"],

@@ -272,42 +272,48 @@ class TestConcurrentCables:
         assert solve_decomposed(layout2, 1.0, self.CONFIG) == assignment
         assert pools == [2, 2]
 
-    @pytest.mark.parametrize("cores, workers, threads", [(8, 1, 4), (4, 2, 2), (3, 2, None), (2, 4, None)])
-    def test_sweep_workers_share_the_cores(self, layout2, pools, monkeypatch, cores, workers, threads):
+    @pytest.mark.parametrize(
+        "cores, workers, threads", [(8, 1, 2), (4, 1, 2), (4, 2, 2), (3, 2, None), (2, 4, None)]
+    )
+    def test_sweep_workers_share_the_cores_up_to_two_threads(
+        self, layout2, pools, monkeypatch, cores, workers, threads
+    ):
         monkeypatch.setattr(vqe, "_usable_cores", lambda: cores)
-        solve_decomposed(layout2, 1.0, dataclasses.replace(self.CONFIG, maxiter=1), workers=workers)
+        monkeypatch.setattr(vqe, "vqe_solve", lambda q, config, instance: q.cable_id)
+        cables = solve_cables(layout2, range(layout2.num_cables), 1.0, self.CONFIG, workers=workers)
+        assert cables == [cable.id for cable in layout2.cables]
         assert pools == ([] if threads is None else [threads])
 
     def test_the_first_failing_cable_in_order_raises(self, layout2, pools, monkeypatch):
-        solve = vqe.vqe_solve
-
         def failing(q, config, instance):
             if q.cable_id == "k2":
                 time.sleep(0.05)  # k3 fails first
                 raise ValueError("k2 failed")
             if q.cable_id == "k3":
                 raise ValueError("k3 failed")
-            return solve(q, config, instance)
+            return q.cable_id
 
         monkeypatch.setattr(vqe, "vqe_solve", failing)
         running = set(threading.enumerate())
         with pytest.raises(ValueError, match="k2 failed"):
-            solve_decomposed(layout2, 1.0, self.CONFIG)
+            solve_cables(layout2, range(layout2.num_cables), 1.0, self.CONFIG)
         assert pools == [2]
         assert set(threading.enumerate()) == running
         monkeypatch.setattr(vqe, "_usable_cores", lambda: 1)  # the plain loop fails alike
         with pytest.raises(ValueError, match="k2 failed"):
-            solve_decomposed(layout2, 1.0, self.CONFIG)
+            solve_cables(layout2, range(layout2.num_cables), 1.0, self.CONFIG)
         assert pools == [2]
 
-    def test_small_exact_and_single_cable_solves_start_no_pool(self, layout1, layout2, triangle, pools):
-        solve_decomposed(layout1, 1.0, self.CONFIG)  # 11-qubit blocks
-        solve_cables(layout2, [0, 1], 1.0, dataclasses.replace(self.CONFIG, shots=0, maxiter=1))
-        solve_decomposed(triangle, 1.0, self.CONFIG)
-        assert solve_cables(layout2, [2], 1.0, self.CONFIG) == [solve_cable(layout2, 2, 1.0, self.CONFIG)]
-        assert main(["solve", "layout-2", "--cable", "k3", "--shots", "50", "--maxiter", "3"]) == 0
+    def test_small_exact_and_single_cable_solves_start_no_pool(self, layout1, layout2, triangle, pools, monkeypatch):
+        assert main(["solve", "layout-2", "--cable", "k3", "--shots", "50", "--maxiter", "1"]) == 0
         assert pools == []
-        assert main(["solve", "layout-2", "--shots", "50", "--maxiter", "3"]) == 0
+        assert main(["solve", "layout-2", "--shots", "50", "--maxiter", "1"]) == 0
+        assert pools == [2]
+        monkeypatch.setattr(vqe, "vqe_solve", lambda q, config, instance: q.cable_id)
+        assert solve_cables(layout1, range(layout1.num_cables), 1.0, self.CONFIG) == [cable.id for cable in layout1.cables]
+        solve_cables(layout2, [0, 1], 1.0, dataclasses.replace(self.CONFIG, shots=0))
+        solve_cables(triangle, range(triangle.num_cables), 1.0, self.CONFIG)
+        solve_cables(layout2, [2], 1.0, self.CONFIG)
         assert pools == [2]
 
 
