@@ -59,7 +59,6 @@ from .vqe import (
     VqeConfig,
     cable_block,
     minimize,
-    solve_cable,
     solve_decomposed,
     vqe_solve,
 )

@@ -18,7 +18,6 @@ import sys
 
 from .instance import Instance, bundled_layouts, parse_instance
 from .metrics import (
-    _check_kappa,
     _fmt,
     build_report,
     plot_tables,
@@ -29,7 +28,7 @@ from .metrics import (
 )
 from .oracle import brute_force_min, shortest_path_opt
 from .qubo import ising_document, qubo_document
-from .vqe import VqeConfig, cable_block, solve_cables
+from .vqe import VqeConfig, cable_block, check_kappa, solve_cables
 
 __all__ = ["main", "main_entry"]
 
@@ -113,7 +112,7 @@ def cmd_solve(args) -> int:
     # Every method checks the solver flags and the kappa before the first
     # cable, also those it does not use; only the VQE draws shots.
     config = _solver_config(args)
-    _check_kappa(instance, args.kappa, config.shots if args.method == "vqe" else 0)
+    check_kappa(instance, args.kappa, config.shots if args.method == "vqe" else 0)
     if args.cable:
         indices = [instance.cables.index(instance.cable(args.cable))]
     else:
@@ -161,8 +160,10 @@ def cmd_sweep(args) -> int:
     kappas = _parse_kappas(args.kappas)
     config = _solver_config(args)
     jobs = _sweep_jobs(args)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(out_dir):  # fail before the grid runs, not after
+    if not args.out:  # fail before the grid runs, not after
+        raise FileNotFoundError(errno.ENOENT, "empty output file name", args.out)
+    out_dir = os.path.dirname(args.out) or os.curdir
+    if not os.path.isdir(out_dir):
         raise FileNotFoundError(errno.ENOENT, "output directory does not exist", out_dir)
     if os.path.isdir(args.out):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)

@@ -125,7 +125,10 @@ def incident_segments(instance: Instance, node_id: str) -> list[int]:
 def _number(value, where: str, minimum: float = 0.0) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceError(f"{where}: expected a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal past the float range
+        x = math.inf
     if not math.isfinite(x):
         raise InstanceError(f"{where}: {x} is not a finite number")
     if x < minimum:
@@ -161,7 +164,7 @@ def parse_instance(text: str) -> Instance:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, deep nesting
         raise InstanceError(f"not a valid JSON document: {exc}") from exc
     doc = _object(doc, "document", ("name", "nodes", "segments", "cables"))
     name = _string(doc["name"], "name")

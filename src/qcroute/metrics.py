@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 from .instance import Instance
 from .oracle import shortest_path_opt
-from .vqe import VqeConfig, cable_block, cable_subseed, check_shots, solve_decomposed
+from .vqe import VqeConfig, cable_subseed, check_kappa, solve_decomposed
 
 __all__ = [
     "RunRecord",
@@ -41,10 +41,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "layout,cable_id,kappa,seed,feasible,energy,objective,oracle_objective,opt_gap"
-
-# concurrent.futures' pool, imported by the first sweep that forks workers:
-# loading multiprocessing would cost every other process about 28 ms.
-ProcessPoolExecutor = None
 
 
 def _round12(x: float) -> float:
@@ -129,15 +125,6 @@ def opt_gap_stats(
     return mean, quartiles
 
 
-def _check_kappa(instance: Instance, kappa: float, shots: int = 0) -> None:
-    """Raise ValueError unless ``kappa`` gives every cable a valid block:
-    positive and finite, with finite etas and a finite energy bound, and,
-    once every block is built, one whose ``shots`` sampled energies sum
-    without overflow (``check_shots``)."""
-    for block in [cable_block(instance, cable, kappa) for cable in instance.cables]:
-        check_shots(block, shots)
-
-
 def _sweep_cell(args) -> list[RunRecord]:
     instance, kappa, run_index, config, oracle_objectives, workers = args
     assignment = solve_decomposed(
@@ -198,7 +185,7 @@ def run_sweep(
     seen = set()  # kappas as the records key them, at 12 significant digits
     for position, kappa in enumerate(kappas, start=1):
         try:
-            _check_kappa(instance, float(kappa), config.shots)
+            check_kappa(instance, float(kappa), config.shots)
         except ValueError as exc:
             raise ValueError(f"kappa entry {position} ({kappa!r}): {exc}") from None
         if _round12(kappa) in seen:
@@ -215,9 +202,8 @@ def run_sweep(
     ]
     chunks = []
     if workers > 1:
-        global ProcessPoolExecutor
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
+        # Imported here: loading multiprocessing would cost every other process about 28 ms.
+        from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
     else:
         pool = contextlib.nullcontext()

@@ -35,11 +35,11 @@ __all__ = [
     "minimize",
     "vqe_solve",
     "cable_block",
-    "solve_cable",
     "solve_cables",
     "solve_decomposed",
     "cable_subseed",
     "check_shots",
+    "check_kappa",
 ]
 
 
@@ -273,6 +273,15 @@ def check_shots(q: CableQubo, shots: int) -> None:
         )
 
 
+def check_kappa(instance: Instance, kappa: float, shots: int = 0) -> None:
+    """Raise ValueError unless ``kappa`` gives every cable a valid block:
+    positive and finite, with finite etas and a finite energy bound, and,
+    once every block is built, one whose ``shots`` sampled energies sum
+    without overflow (``check_shots``)."""
+    for block in [cable_block(instance, cable, kappa) for cable in instance.cables]:
+        check_shots(block, shots)
+
+
 @dataclass(frozen=True, eq=False)
 class _Row:
     """The blocks built so far for one (instance, kappa) row, keyed by cable id."""
@@ -309,12 +318,6 @@ def cable_block(instance: Instance, cable: Cable, kappa: float) -> CableQubo:
     return block
 
 
-def solve_cable(instance: Instance, index: int, kappa: float, config: VqeConfig) -> SolveResult:
-    """VQE on the block of ``instance.cables[index]``, seeded by the cable's subseed."""
-    block = cable_block(instance, instance.cables[index], kappa)
-    return vqe_solve(block, replace(config, seed=cable_subseed(config.seed, index)), instance)
-
-
 # A solve runs its cables on threads only if it samples and every block has at
 # least this many states.  Time of four solves of one block on 2 threads as a
 # fraction of 1 thread (1000 shots, maxiter 30; exact: shots=0):
@@ -333,10 +336,6 @@ _CONCURRENT_MIN_STATES = 1 << 15
 # far below half the sequential time, while each adds a whole solve's memory.
 _CONCURRENT_MAX_THREADS = 2
 
-# concurrent.futures' thread pool, imported by the first solve that runs its
-# cables on threads, so that importing qcroute does not load it.
-ThreadPoolExecutor = None
-
 
 def _usable_cores() -> int:
     """The cores this process may run on."""
@@ -349,7 +348,7 @@ def _usable_cores() -> int:
 def solve_cables(
     instance: Instance, indices: Sequence[int], kappa: float, config: VqeConfig, workers: int = 1
 ) -> list[SolveResult]:
-    """``solve_cable`` for each cable of ``indices``, the results in that order.
+    """VQE on the block of each cable of ``indices``, the results in that order.
 
     The row's blocks are built first, on the calling thread, and each is
     handed to ``vqe_solve`` with its cable's subseed.  A sampled solve
@@ -367,9 +366,7 @@ def solve_cables(
     threads = min(len(blocks), _CONCURRENT_MAX_THREADS, _usable_cores() // workers)
     if config.shots == 0 or threads < 2 or min(1 << b.dim for b in blocks) < _CONCURRENT_MIN_STATES:
         return [vqe_solve(block, cable_config, instance) for block, cable_config in zip(blocks, configs)]
-    global ThreadPoolExecutor
-    if ThreadPoolExecutor is None:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor  # here, so importing qcroute does not load it
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda block, cable_config: vqe_solve(block, cable_config, instance), blocks, configs))
 

@@ -47,6 +47,38 @@ class TestValidate:
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["validate", str(tmp_path / "missing.json")]) == 3
 
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda d, big: d["segments"][0].update(length=big), "segment 'AB' length"),
+            (lambda d, big: d["cables"][0].update(alpha=big), "cable 'c1' alpha"),
+            (lambda d, big: d.update(cables=[{"id": "c1", "source": "A", "terminal": "C",
+                                              "costs": {"AB": big, "BC": 1, "AC": 3}}]),
+             "cable 'c1' cost of 'AB'"),
+            (lambda d, big: d["cables"][0].update(max_length=big), "cable 'c1' max_length"),
+        ],
+        ids=["length", "alpha", "cost", "max_length"],
+    )
+    def test_integer_past_the_float_range_exit_2(self, tmp_path, capsys, mutate, field):
+        doc = json.loads(TRIANGLE_DOC)
+        mutate(doc, 10**399)  # a 400-digit JSON integer
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        commands = (["validate"], ["qubo", "--cable", "c1"], ["solve", "--method", "brute"],
+                    ["sweep", "--out", str(tmp_path / "r.csv")])
+        for command in commands:
+            assert main(command[:1] + [str(bad)] + command[1:]) == 2
+            captured = capsys.readouterr()
+            assert f"error: {field}: inf is not a finite number" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("opening", ["[", '{"a":'])
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys, opening):
+        bad = tmp_path / "deep.json"
+        bad.write_text(opening * 100000, encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert "error: not a valid JSON document" in capsys.readouterr().err
+
 
 class TestQubo:
     def test_document_on_stdout(self, triangle_path, capsys):
@@ -314,6 +346,17 @@ class TestSweepAndReport:
         captured = capsys.readouterr()
         assert "done" not in captured.err and "Is a directory" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("out", ["", "no_such_dir/"])
+    def test_unusable_output_path_fails_before_the_grid(self, tmp_path, capsys, monkeypatch, out):
+        # Neither path names a file: "" has no name, "no_such_dir/" no directory.
+        monkeypatch.chdir(tmp_path)
+        code = main(["sweep", "layout-1", "--kappas", "1", "--seeds", "2", "--out", out,
+                     "--shots", "50", "--maxiter", "5"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "done" not in captured.err and captured.out == ""
+        assert os.listdir(tmp_path) == []
 
     def test_unwritable_output_exit_3(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "results.csv"

@@ -157,6 +157,8 @@ class TestRunSweep:
 
     def test_workers_capped_at_the_cell_count(self, layout1, monkeypatch):
         # The stub pool records its size and maps in process, so no worker starts.
+        import concurrent.futures
+
         sizes = []
 
         class InProcessPool:
@@ -172,7 +174,7 @@ class TestRunSweep:
             def map(self, fn, cells):
                 return map(fn, cells)
 
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         expected = run_sweep(layout1, [0.5, 1.0], 2, FAST).records
         assert run_sweep(layout1, [0.5, 1.0], 2, FAST, jobs=3).records == expected
         assert run_sweep(layout1, [0.5, 1.0], 2, FAST, jobs=10**20).records == expected

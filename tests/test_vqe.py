@@ -24,7 +24,7 @@ from qcroute import (
 )
 from qcroute.qubo import BLOCK_DIM_CAP as STATEVECTOR_DIM_CAP
 from qcroute.cli import main
-from qcroute.vqe import cable_block, cable_subseed, check_shots, solve_cable, solve_cables
+from qcroute.vqe import cable_block, cable_subseed, check_shots, solve_cables
 from reference import parent_minimize
 from test_oracle import zero_qubo
 
@@ -233,7 +233,7 @@ class TestSolveDecomposed:
     def test_solve_cable_is_one_entry_of_the_merge(self, layout1):
         config = VqeConfig(seed=5, maxiter=15, shots=100)
         assignment = solve_decomposed(layout1, 2.0, config)
-        assert solve_cable(layout1, 2, 2.0, config) == assignment.results[2]
+        assert solve_cables(layout1, [2], 2.0, config)[0] == assignment.results[2]
 
     def test_cable_block_scales_baseline_penalties(self, layout1):
         cable = layout1.cables[1]
@@ -251,21 +251,21 @@ class TestConcurrentCables:
     @pytest.fixture()
     def pools(self, monkeypatch):
         """Two usable cores on any host; lists the thread count of every pool started."""
-        from concurrent.futures import ThreadPoolExecutor
+        import concurrent.futures
 
         started = []
 
-        class Spy(ThreadPoolExecutor):
+        class Spy(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(vqe, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(vqe, "ThreadPoolExecutor", Spy)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
         return started
 
     def test_results_are_solve_cable_in_cable_order(self, layout2, pools):
-        expected = [solve_cable(layout2, index, 1.0, self.CONFIG) for index in range(layout2.num_cables)]
+        expected = [solve_cables(layout2, [index], 1.0, self.CONFIG)[0] for index in range(layout2.num_cables)]
         assert pools == []
         assignment = solve_decomposed(layout2, 1.0, self.CONFIG)
         assert list(assignment.results) == expected
