@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Cable, Instance, incident_segments
-from .qubo import _CHUNK_BITS, BLOCK_DIM_CAP, CableQubo, _basis_bits, _chunk_energies, variable_map
+from .qubo import _CHUNK_BITS, CableQubo, _basis_bits, _chunk_energies, check_block_dim, variable_map
 
 __all__ = [
     "Violation",
@@ -141,8 +141,7 @@ def brute_force_min(q: CableQubo, instance: Instance | None = None) -> OracleSol
     ``instance`` given, the solution also carries the routing objective and
     decoded route (empty when the minimizer is not a single path).
     """
-    if q.dim > BLOCK_DIM_CAP:
-        raise ValueError(f"dimension {q.dim} exceeds brute-force cap {BLOCK_DIM_CAP}")
+    check_block_dim(q.dim)
     # Bit i of z is bit (dim-1-i) of the counter, so counters run in
     # lexicographic order.
     best_energy = np.inf

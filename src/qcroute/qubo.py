@@ -42,19 +42,31 @@ __all__ = [
     "bits_to_array",
     "block_energies",
     "BLOCK_DIM_CAP",
+    "check_block_dim",
 ]
 
 # Largest block any solver takes: a 2^24-amplitude float64 statevector (128 MiB;
-# a solve adds the probabilities and the multinomial counts, no state-sized
-# scratch) or 2^24 enumerated bitstrings (energies formed 2^12 rows at a time in
-# about 1.5 MiB of reused buffers; the energy table itself is 128 MiB).  The
-# row of blocks that ``vqe.cable_block`` keeps holds one table per cable after
-# an exact solve: four 24-variable tables are 512 MiB.  A sampled solve that
-# runs its cables on threads (``vqe.solve_cables``, at most 2) holds two solves
-# at once: two 24-qubit sampled solves hold about 768 MiB.
+# a sampled solve squares it in place and adds the multinomial counts, 128 MiB,
+# an exact solve the int64 indices 0..2^24-1, 128 MiB, and neither needs a
+# state-sized scratch) or 2^24 enumerated bitstrings (energies formed 2^12 rows
+# at a time in about 1.5 MiB of reused buffers; the energy table itself is
+# 128 MiB).  The row of blocks that ``vqe.cable_block`` keeps holds one table per
+# cable after an exact solve: four 24-variable tables are 512 MiB.  A sampled
+# solve that runs its cables on threads (``vqe.solve_cables``, at most 2) holds
+# two solves at once: two 24-qubit sampled solves hold about 512 MiB.
 # Brute force screens every 2^12-row chunk at about 12 flops a state and forms
 # only the chunks that can hold the minimum.
 BLOCK_DIM_CAP = 24
+
+
+def check_block_dim(dim: int) -> None:
+    """Raise ValueError if a block of ``dim`` variables is over ``BLOCK_DIM_CAP``.
+
+    The one check of the cap, for the statevector, the energy table and
+    exhaustive search alike, made before anything is allocated.
+    """
+    if dim > BLOCK_DIM_CAP:
+        raise ValueError(f"block dimension {dim} exceeds the cap of {BLOCK_DIM_CAP} variables")
 
 
 @dataclass(frozen=True)
@@ -127,8 +139,7 @@ class CableQubo:
         ``BLOCK_DIM_CAP`` variables raises ValueError before anything is
         allocated.
         """
-        if self.dim > BLOCK_DIM_CAP:
-            raise ValueError(f"dimension {self.dim} exceeds energy table cap {BLOCK_DIM_CAP}")
+        check_block_dim(self.dim)
         table = np.empty(1 << self.dim)
         for _ in _chunk_energies(self, range(self.dim), table):
             pass

@@ -24,8 +24,8 @@ import numpy as np
 
 from .instance import Cable, Instance
 from .oracle import FeasibilityReport, check_feasibility, chosen_objective
-from .quantum import AnsatzSpec, estimate_energy, exact_distribution, prepare_state, sample
-from .qubo import BLOCK_DIM_CAP, CableQubo, build_cable_qubo, default_penalties, qubo_energy, scale_penalties
+from .quantum import AnsatzSpec, _Workspace, estimate_energy, exact_distribution, prepare_state, sample
+from .qubo import CableQubo, build_cable_qubo, default_penalties, qubo_energy, scale_penalties
 
 __all__ = [
     "VqeConfig",
@@ -210,14 +210,17 @@ def vqe_solve(q: CableQubo, config: VqeConfig, instance: Instance) -> SolveResul
 
     The instance is needed to decode feasibility and routing cost of the
     returned bitstring; the cable is looked up by the block's cable id.  A
-    block whose ``config.shots`` sampled energies could overflow their sum
-    raises ValueError (``check_shots``) before the first evaluation.
+    block over the dimension cap (``qubo.check_block_dim``), or whose
+    ``config.shots`` sampled energies could overflow their sum
+    (``check_shots``), raises ValueError before the first evaluation.
+
+    Every evaluation runs in one ``_Workspace``, built here: the state is
+    prepared into its buffer and squared there into the weights.
     """
-    if q.dim > BLOCK_DIM_CAP:
-        raise ValueError(f"dimension {q.dim} exceeds statevector cap {BLOCK_DIM_CAP}")
+    spec = AnsatzSpec(num_qubits=q.dim, reps=config.reps)
+    workspace = _Workspace(spec)
     check_shots(q, config.shots)
     cable = instance.cable(q.cable_id)
-    spec = AnsatzSpec(num_qubits=q.dim, reps=config.reps)
     theta_stream, sample_stream = np.random.SeedSequence(config.seed).spawn(2)
     theta_rng = np.random.default_rng(theta_stream)
     sample_rng = np.random.default_rng(sample_stream)
@@ -226,11 +229,11 @@ def vqe_solve(q: CableQubo, config: VqeConfig, instance: Instance) -> SolveResul
 
     def objective(theta: np.ndarray) -> float:
         nonlocal best
-        state = prepare_state(spec, theta)
+        state = prepare_state(spec, theta, workspace)
         if config.shots == 0:
-            weights = exact_distribution(state)
+            weights = exact_distribution(state, workspace)
         else:
-            weights = sample(state, config.shots, sample_rng)
+            weights = sample(state, config.shots, sample_rng, workspace)
         e_exp, (bits, energy) = estimate_energy(weights, q)
         best = min(best, (energy, bits))
         return e_exp

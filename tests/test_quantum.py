@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
+import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from qcroute import (
     qubo_energy,
     sample,
 )
-from qcroute import quantum
-from qcroute.quantum import _cnot_chain, index_to_bitstring
+from qcroute import quantum, qubo
+from qcroute.quantum import _Workspace, index_to_bitstring
 from test_oracle import RING_18_CHORDS, baseline_qubo, chorded_ring, zero_qubo
 from reference import (
     cnot_chain_by_swaps,
@@ -149,7 +151,10 @@ class TestPrepareState:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_cnot_gather_equals_gate_by_gate_swaps(self, m):
         amps = np.random.default_rng(m).standard_normal(1 << m)
-        assert np.array_equal(_cnot_chain(amps, m), cnot_chain_by_swaps(amps, m))
+        workspace = _Workspace(AnsatzSpec(m, 2))
+        workspace.amps[:] = amps
+        workspace._cnot_chain()
+        assert np.array_equal(workspace.amps, cnot_chain_by_swaps(amps, m))
 
     def test_parameter_count_mismatch(self):
         with pytest.raises(ValueError, match="parameters"):
@@ -162,6 +167,148 @@ class TestPrepareState:
         start = time.perf_counter()
         prepare_state(spec, theta)
         assert time.perf_counter() - start < 0.1
+
+
+class TestWorkspace:
+    """One workspace serves every evaluation of a solve: its states are the
+    gate-by-gate bytes whatever the previous call left in its buffers, it
+    leaves numpy's buffer size as it found it, and an evaluation through it
+    allocates nothing state-sized."""
+
+    @staticmethod
+    def assert_states_through_one_workspace(m, reps, thetas):
+        spec = AnsatzSpec(m, reps)
+        workspace = _Workspace(spec)
+        for theta in thetas:
+            state = prepare_state(spec, theta, workspace)
+            assert state.amplitudes is workspace.amps
+            assert state.amplitudes.tobytes() == parent_prepare_state(m, reps, theta).tobytes()
+            exact_distribution(state, workspace)  # squares over the state, as a solve does
+
+    @pytest.mark.parametrize("tile", [1, 2, 8, 64])
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_states_over_many_angles_equal_the_gate_by_gate_bytes(self, monkeypatch, tile, m):
+        monkeypatch.setattr(quantum, "_TILE", tile)
+        rng = np.random.default_rng(10 * m + tile)
+        for reps in range(4):
+            n = AnsatzSpec(m, reps).parameter_count
+            thetas = [
+                rng.uniform(-2 * np.pi, 2 * np.pi, n),
+                rng.choice([-np.pi, 0.0, np.pi], n),
+                np.zeros(n),
+                rng.uniform(-2 * np.pi, 2 * np.pi, n),
+            ]
+            self.assert_states_through_one_workspace(m, reps, thetas)
+
+    @pytest.mark.parametrize("reps", range(4))
+    @pytest.mark.parametrize("m", [17, 18])
+    def test_states_past_one_tile_equal_the_gate_by_gate_bytes(self, m, reps):
+        rng = np.random.default_rng(1000 * m + reps)
+        n = AnsatzSpec(m, reps).parameter_count
+        self.assert_states_through_one_workspace(m, reps, [rng.uniform(-2 * np.pi, 2 * np.pi, n) for _ in range(2)])
+
+    def test_a_state_without_a_workspace_is_never_overwritten(self):
+        spec = AnsatzSpec(6, 2)
+        rng = np.random.default_rng(6)
+        first = prepare_state(spec, rng.uniform(-2 * np.pi, 2 * np.pi, spec.parameter_count))
+        kept = first.amplitudes.tobytes()
+        workspace = _Workspace(spec)
+        for _ in range(3):
+            theta = rng.uniform(-2 * np.pi, 2 * np.pi, spec.parameter_count)
+            exact_distribution(prepare_state(spec, theta))
+            sample(prepare_state(spec, theta, workspace), 10, rng, workspace)
+        exact_distribution(first)
+        sample(first, 10, rng)
+        assert first.amplitudes.tobytes() == kept
+
+    def test_a_foreign_state_or_spec_is_refused(self):
+        spec = AnsatzSpec(4, 1)
+        workspace = _Workspace(spec)
+        fresh = prepare_state(spec, np.ones(8))
+        with pytest.raises(ValueError, match="not this workspace's"):
+            exact_distribution(fresh, workspace)
+        with pytest.raises(ValueError, match="not this workspace's"):
+            sample(fresh, 10, np.random.default_rng(0), workspace)
+        with pytest.raises(ValueError, match="workspace built for"):
+            prepare_state(AnsatzSpec(4, 2), np.ones(12), workspace)
+
+    @pytest.mark.parametrize("m", [3, 11, 16])
+    def test_weights_squared_in_place_equal_fresh_ones(self, m):
+        spec = AnsatzSpec(m, 1)
+        theta = np.random.default_rng(m).uniform(-2 * np.pi, 2 * np.pi, spec.parameter_count)
+        fresh = prepare_state(spec, theta)
+        expected_dist = exact_distribution(fresh)
+        expected_counts = sample(fresh, 100, np.random.default_rng(1)).counts
+        workspace = _Workspace(spec)
+        for weigh, want in (
+            (lambda state: exact_distribution(state, workspace), expected_dist),
+            (lambda state: sample(state, 100, np.random.default_rng(1), workspace).counts, expected_counts),
+        ):
+            got = weigh(prepare_state(spec, theta, workspace))  # exact weights live until the next state
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.weights.dtype == want.weights.dtype and got.weights.tobytes() == want.weights.tobytes()
+
+    def test_buffer_size_is_restored_in_every_thread_and_on_raise(self, monkeypatch):
+        default = np.getbufsize()
+        spec = AnsatzSpec(5, 2)
+        theta = np.linspace(0.1, 1.0, spec.parameter_count)
+        prepare_state(spec, theta)
+        assert np.getbufsize() == default
+
+        seen = []
+
+        def in_a_thread():
+            prepare_state(spec, theta)
+            seen.append(np.getbufsize())
+
+        thread = threading.Thread(target=in_a_thread)
+        thread.start()
+        thread.join()
+        assert seen == [default] and np.getbufsize() == default
+
+        with np.errstate():
+            np.setbufsize(1024)  # a caller's own setting is kept, too
+            prepare_state(spec, theta)
+            assert np.getbufsize() == 1024
+
+        inside = []
+
+        def failing_chain(self):
+            inside.append(np.getbufsize())
+            raise RuntimeError("chain failed")
+
+        monkeypatch.setattr(_Workspace, "_cnot_chain", failing_chain)
+        with pytest.raises(RuntimeError, match="chain failed"):
+            prepare_state(spec, theta)
+        assert inside == [quantum._BUFSIZE] and np.getbufsize() == default
+
+    def test_second_exact_evaluation_allocates_nothing_state_sized(self):
+        m = 16
+        q = random_qubo(m, m)
+        spec = AnsatzSpec(m, 1)
+        workspace = _Workspace(spec)
+        rng = np.random.default_rng(m)
+
+        def evaluate():
+            theta = rng.uniform(-2 * np.pi, 2 * np.pi, spec.parameter_count)
+            return estimate_energy(exact_distribution(prepare_state(spec, theta, workspace), workspace), q)
+
+        evaluate()  # builds the block's energy table and the workspace's indices
+        tracemalloc.start()
+        try:
+            evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << m  # one float64 state
+
+    def test_over_the_cap_raises_before_allocating(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("state allocated")
+
+        monkeypatch.setattr(quantum, "np", SimpleNamespace(empty=forbidden))
+        with pytest.raises(ValueError, match=f"^block dimension 60 exceeds the cap of {qubo.BLOCK_DIM_CAP} variables$"):
+            _Workspace(AnsatzSpec(60, 1))
 
 
 class TestBitOrdering:

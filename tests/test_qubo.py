@@ -318,7 +318,7 @@ class TestEnergyTable:
             raise AssertionError("table allocated")
 
         monkeypatch.setattr(qubo, "np", SimpleNamespace(empty=forbidden))
-        with pytest.raises(ValueError, match=f"exceeds energy table cap {qubo.BLOCK_DIM_CAP}"):
+        with pytest.raises(ValueError, match=f"^block dimension {qubo.BLOCK_DIM_CAP + 1} exceeds the cap of {qubo.BLOCK_DIM_CAP} variables$"):
             zero_qubo(qubo.BLOCK_DIM_CAP + 1).energy_table
 
     def test_built_once_and_read_only(self, triangle):
