@@ -231,14 +231,14 @@ def shortest_path_opt(instance: Instance, cable: Cable) -> OracleSolution:
     encoded path satisfies every constraint, so all penalties vanish.
     """
     order = {n.id: i for i, n in enumerate(instance.nodes)}
-    adjacency: dict[str, list[tuple[str, int, float]]] = {n.id: [] for n in instance.nodes}
-    for i, s in enumerate(instance.segments):
+    adjacency: dict[str, list[tuple[str, float]]] = {n.id: [] for n in instance.nodes}
+    for s in instance.segments:
         cost = cable.costs[s.id]
-        adjacency[s.u].append((s.v, i, cost))
-        adjacency[s.v].append((s.u, i, cost))
+        adjacency[s.u].append((s.v, cost))
+        adjacency[s.v].append((s.u, cost))
 
     dist = {n.id: np.inf for n in instance.nodes}
-    prev: dict[str, tuple[str, int]] = {}
+    prev: dict[str, str] = {}
     dist[cable.source] = 0.0
     heap: list[tuple[float, int, str]] = [(0.0, order[cable.source], cable.source)]
     done: set[str] = set()
@@ -249,24 +249,22 @@ def shortest_path_opt(instance: Instance, cable: Cable) -> OracleSolution:
         done.add(u)
         if u == cable.terminal:
             break
-        for v, seg_idx, cost in adjacency[u]:
+        for v, cost in adjacency[u]:
             if v in done:
                 continue
             candidate = d_u + cost
             if candidate < dist[v]:
                 dist[v] = candidate
-                prev[v] = (u, seg_idx)
+                prev[v] = u
                 heapq.heappush(heap, (candidate, order[v], v))
 
     if not np.isfinite(dist[cable.terminal]):
         raise ValueError(f"no path from {cable.source!r} to {cable.terminal!r}")
 
     route_rev = [cable.terminal]
-    used: list[int] = []
     node = cable.terminal
     while node != cable.source:
-        node, seg_idx = prev[node]
-        used.append(seg_idx)
+        node = prev[node]
         route_rev.append(node)
     route = tuple(reversed(route_rev))
     bitstring = route_bitstring(instance, cable, route)

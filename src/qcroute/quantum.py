@@ -13,10 +13,11 @@ reports, and for a bad weight's error message.
 State preparation forms exactly the floats of the gate-by-gate circuit with
 few passes over memory, in a ``_Workspace``: the state buffer, the rotation
 tiles and every view an evaluation works on, built once for an ansatz shape.
-``vqe_solve`` builds one per solve and passes it to ``prepare_state``,
+``vqe_solve`` builds one per solve and lends it to ``prepare_state``,
 ``sample`` and ``exact_distribution``, so that an evaluation allocates no
 state-sized array: the state is overwritten in place and squared in place
-into the weights.  Without a workspace each call builds a throwaway one, and
+into the weights, and an exact distribution over every basis state is the
+workspace's one ``full_support``.  Without a workspace each call builds a throwaway one, and
 its state is a fresh array.  The first rotation layer and the first CNOT
 chain are one product state built by doubling (the chain only permutes
 amplitudes, so it picks each qubit's cos or sin factor).  Each later
@@ -164,8 +165,8 @@ class _Workspace:
     * per band of each rotation pass, the pair views ``(v0, v1, scratch0,
       scratch1)`` of every qubit it rotates;
     * from ``reps`` 2 on, the CNOT chain's index and gather buffer;
-    * ``indices``, the ``arange(2^m)`` of a full exact distribution, built
-      on first use.
+    * ``full_support``, the ``BasisWeights`` of ``amps`` over ``arange(2^m)``
+      that every full-support exact distribution returns, built on first use.
 
     The constructor applies ``check_block_dim`` before it allocates.
     """
@@ -219,11 +220,11 @@ class _Workspace:
             self._gathered = tile if whole else np.empty(1 << m)
 
     @functools.cached_property
-    def indices(self) -> np.ndarray:
-        """``arange(2^m)``: the indices of an exact distribution with full support; read-only."""
+    def full_support(self) -> BasisWeights:
+        """``amps`` as the weights of the read-only indices ``arange(2^m)``, checked once."""
         indices = np.arange(len(self.amps))
         indices.flags.writeable = False
-        return indices
+        return BasisWeights(indices, self.amps, self.spec.num_qubits)
 
     def prepare(self, cos: list[float], sin: list[float]) -> np.ndarray:
         """Run the ansatz into ``amps`` and return it; ``cos`` and ``sin`` of every half angle.
@@ -296,12 +297,6 @@ class _Workspace:
             if store is not None:
                 np.copyto(*store)
 
-    def squares(self, state: Statevector) -> np.ndarray:
-        """Square this workspace's own ``state`` in place; return the squares."""
-        if state.amplitudes is not self.amps:
-            raise ValueError("the state is not this workspace's")
-        return np.square(self.amps, out=self.amps)
-
 
 def prepare_state(spec: AnsatzSpec, theta, workspace: _Workspace | None = None) -> Statevector:
     """Run the ansatz on |0...0> with the given rotation angles.
@@ -336,31 +331,33 @@ def prepare_state(spec: AnsatzSpec, theta, workspace: _Workspace | None = None) 
 def exact_distribution(state: Statevector, workspace: _Workspace | None = None) -> BasisWeights:
     """Measurement distribution |amplitude|^2; zero-probability states omitted.
 
-    With every probability nonzero, the usual case, the squared amplitudes
-    are the weights as they are, over indices 0..2^m-1; otherwise the
-    nonzero ones are gathered.  With the ``workspace`` whose state
-    ``state`` is, the squares are written over the amplitudes and the
-    indices are the workspace's ``indices``, so no state-sized array is
-    allocated; the weights then live until the next ``prepare_state``.
+    With every probability finite and nonzero, the usual case, the squared
+    amplitudes are the weights as they are, over indices 0..2^m-1;
+    otherwise the nonzero ones are gathered, and the check names a bad one.
+    A ``workspace`` is lent as scratch: the squares go into its buffer (a
+    state not its own is left as it is), and a full support returns its
+    ``full_support``, one object for every call, built at the first, whose
+    weights live until the workspace's next use.
     """
-    probs = np.square(state.amplitudes) if workspace is None else workspace.squares(state)
-    if probs.min() > 0:  # no mask or gather; a NaN takes the gather, whose check names it
-        indices = np.arange(len(probs)) if workspace is None else workspace.indices
-        return BasisWeights(indices, probs, state.num_qubits)
-    nonzero = np.flatnonzero(probs != 0)  # nonzero scans a bool mask faster than floats
-    return BasisWeights(nonzero, probs[nonzero], state.num_qubits)
+    probs = np.square(state.amplitudes, out=None if workspace is None else workspace.amps)
+    if not (probs.min() > 0 and probs.max() < np.inf):  # a NaN makes both NaN
+        nonzero = np.flatnonzero(probs != 0)  # nonzero scans a bool mask faster than floats
+        return BasisWeights(nonzero, probs[nonzero], state.num_qubits)
+    if workspace is None:
+        return BasisWeights(np.arange(len(probs)), probs, state.num_qubits)
+    return workspace.full_support
 
 
 def sample(state: Statevector, shots: int, rng: np.random.Generator, workspace: _Workspace | None = None) -> SampleCounts:
     """Multinomial draw of ``shots`` measurements from the state.
 
-    Deterministic given the generator's stream position.  With the
-    ``workspace`` whose state ``state`` is, the probabilities are formed
-    over the amplitudes rather than in a new array.
+    Deterministic given the generator's stream position.  A lent
+    ``workspace`` holds the probabilities in its buffer (a state not its
+    own is left as it is).
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = np.square(state.amplitudes) if workspace is None else workspace.squares(state)
+    probs = np.square(state.amplitudes, out=None if workspace is None else workspace.amps)
     probs /= probs.sum()  # guard against 1e-16 normalization drift
     counts_vec = rng.multinomial(shots, probs)
     del probs  # without a workspace, freed before the mask, which then adds nothing to the peak

@@ -21,6 +21,7 @@ from qcroute import (
     qubo_energy,
     records_from_csv,
     records_to_csv,
+    render_instance,
     shortest_path_opt,
     to_ising,
 )
@@ -93,6 +94,24 @@ def test_ising_energy_equals_qubo_energy(instance, kappa):
     for z in all_bitstrings(block.dim):
         spins = spins_from_bits(z, block.dim)
         assert ising_energy(model, spins) == pytest.approx(qubo_energy(block, z), rel=1e-12, abs=1e-9), z
+
+
+@checks
+@given(instance=ring_layouts(), data=st.data())
+def test_every_cable_has_segments_plus_nodes_minus_two_variables(instance, data):
+    # A cable's source and terminal differ, so every block of a layout has the
+    # same dimension: the first cable's solve meets the dimension cap as soon
+    # as any cable would.
+    n = instance.num_nodes
+    ends = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+                              min_size=1, max_size=4))
+    doc = json.loads(render_instance(instance))
+    doc["cables"] = [{"id": f"c{k}", "source": f"v{s}", "terminal": f"v{t}", "alpha": 1.0}
+                     for k, (s, t) in enumerate(ends)]
+    instance = parse_instance(json.dumps(doc))
+    dim = instance.num_segments + instance.num_nodes - 2
+    assert [instance.block_dim(c) for c in instance.cables] == [dim] * len(ends)
+    assert [cable_block(instance, c, 1.0).dim for c in instance.cables] == [dim] * len(ends)
 
 
 def twelve_digits(x):

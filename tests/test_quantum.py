@@ -221,16 +221,80 @@ class TestWorkspace:
         sample(first, 10, rng)
         assert first.amplitudes.tobytes() == kept
 
-    def test_a_foreign_state_or_spec_is_refused(self):
+    def test_a_foreign_state_is_left_untouched_and_a_foreign_spec_refused(self):
         spec = AnsatzSpec(4, 1)
         workspace = _Workspace(spec)
         fresh = prepare_state(spec, np.ones(8))
-        with pytest.raises(ValueError, match="not this workspace's"):
-            exact_distribution(fresh, workspace)
-        with pytest.raises(ValueError, match="not this workspace's"):
-            sample(fresh, 10, np.random.default_rng(0), workspace)
+        kept = fresh.amplitudes.tobytes()
+        for weigh in (
+            lambda ws: exact_distribution(fresh, ws),
+            lambda ws: sample(fresh, 10, np.random.default_rng(0), ws).counts,
+        ):
+            want = weigh(None)
+            got = weigh(workspace)  # the workspace is only scratch
+            assert fresh.amplitudes.tobytes() == kept
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.weights.dtype == want.weights.dtype and got.weights.tobytes() == want.weights.tobytes()
         with pytest.raises(ValueError, match="workspace built for"):
             prepare_state(AnsatzSpec(4, 2), np.ones(12), workspace)
+
+    def test_full_support_is_one_object_checked_once(self, monkeypatch):
+        m = 11
+        spec = AnsatzSpec(m, 1)
+        workspace = _Workspace(spec)
+        rng = np.random.default_rng(m)
+        thetas = [rng.uniform(-2 * np.pi, 2 * np.pi, spec.parameter_count) for _ in range(5)]
+        wants = [exact_distribution(prepare_state(spec, theta)) for theta in thetas]
+        built = []
+        init = BasisWeights.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(BasisWeights, "__init__", counted)
+        gots = []
+        for theta, want in zip(thetas, wants):
+            got = exact_distribution(prepare_state(spec, theta, workspace), workspace)
+            assert len(want) == 1 << m  # every basis state weighted
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            gots.append(got)
+        assert all(got is gots[0] for got in gots) and len(built) == 1
+
+    def test_a_full_support_exact_evaluation_allocates_under_4_kib(self):
+        m = 16
+        spec = AnsatzSpec(m, 1)
+        workspace = _Workspace(spec)
+        rng = np.random.default_rng(m)
+        exact_distribution(prepare_state(spec, rng.uniform(-2 * np.pi, 2 * np.pi, spec.parameter_count), workspace), workspace)
+        state = prepare_state(spec, rng.uniform(-2 * np.pi, 2 * np.pi, spec.parameter_count), workspace)
+        tracemalloc.start()
+        try:
+            dist = exact_distribution(state, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dist) == 1 << m
+        assert peak < 4 << 10  # no mask of the indices, nothing state-sized
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("own", [False, True])
+    def test_a_non_finite_amplitude_is_named_with_and_without_a_workspace(self, bad, own):
+        spec = AnsatzSpec(3, 1)
+        workspace = _Workspace(spec)
+        theta = np.linspace(0.1, 1.0, spec.parameter_count)
+        exact_distribution(prepare_state(spec, theta, workspace), workspace)  # full support built
+        amps = prepare_state(spec, theta).amplitudes
+        amps[5] = bad
+        if own:
+            workspace.amps[:] = amps
+        state = quantum.Statevector(workspace.amps if own else amps)
+        message = f"weight of '101' must be finite and positive, got {bad * bad}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            exact_distribution(quantum.Statevector(amps.copy()))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            exact_distribution(state, workspace)
 
     @pytest.mark.parametrize("m", [3, 11, 16])
     def test_weights_squared_in_place_equal_fresh_ones(self, m):
@@ -293,7 +357,7 @@ class TestWorkspace:
             theta = rng.uniform(-2 * np.pi, 2 * np.pi, spec.parameter_count)
             return estimate_energy(exact_distribution(prepare_state(spec, theta, workspace), workspace), q)
 
-        evaluate()  # builds the block's energy table and the workspace's indices
+        evaluate()  # builds the block's energy table and the workspace's full support
         tracemalloc.start()
         try:
             evaluate()
