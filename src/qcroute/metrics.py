@@ -223,8 +223,12 @@ def run_sweep(
 
 
 def build_report(records: Iterable[RunRecord]) -> SweepReport:
-    """Sort records and compute per-(cable, kappa) aggregates."""
+    """Sort records and compute per-(cable, kappa) aggregates; records of
+    more than one layout raise ValueError."""
     ordered = tuple(sorted(records, key=lambda r: (r.layout, r.cable_id, r.kappa, r.seed)))
+    layouts = sorted({r.layout for r in ordered})
+    if len(layouts) > 1:
+        raise ValueError(f"records span multiple layouts: {layouts}")
     groups: dict[tuple[str, float], list[RunRecord]] = {}
     for record in ordered:
         groups.setdefault((record.cable_id, record.kappa), []).append(record)
@@ -323,11 +327,15 @@ def records_from_csv(text: str) -> list[RunRecord]:
     return records
 
 
+def _layout(report: SweepReport) -> str:
+    """The report's one layout ('' if it has no records)."""
+    return report.records[0].layout if report.records else ""
+
+
 def summary_table(report: SweepReport) -> str:
     """Plain-text EmpProb / mean OptGap table, one row per (cable, kappa)."""
     lines = ["layout cable kappa emp_prob opt_gap_mean"]
-    layouts = {r.layout for r in report.records}
-    layout = layouts.pop() if len(layouts) == 1 else "mixed"
+    layout = _layout(report)
     for cable_id, kappa in sorted(report.emp_prob):
         prob = report.emp_prob[(cable_id, kappa)]
         mean = report.opt_gap_mean[(cable_id, kappa)]
@@ -345,8 +353,7 @@ def plot_tables(report: SweepReport) -> str:
     """
     kappas = sorted({kappa for _, kappa in report.emp_prob})
     cables = sorted({cable for cable, _ in report.emp_prob})
-    layouts = {r.layout for r in report.records}
-    layout = layouts.pop() if len(layouts) == 1 else "mixed"
+    layout = _layout(report)
     header = "cable " + " ".join(f"kappa={_fmt(k)}" for k in kappas)
 
     def panel(title: str, cell) -> list[str]:

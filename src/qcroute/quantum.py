@@ -328,18 +328,28 @@ def prepare_state(spec: AnsatzSpec, theta, workspace: _Workspace | None = None) 
     return Statevector(workspace.prepare(np.cos(half_angles).tolist(), np.sin(half_angles).tolist()))
 
 
+def _squares(state: Statevector, workspace: _Workspace | None) -> np.ndarray:
+    """The squared amplitudes, in the lent ``workspace``'s buffer if there is
+    one; a workspace of another size raises ValueError."""
+    if workspace is None:
+        return np.square(state.amplitudes)
+    if len(state.amplitudes) != len(workspace.amps):
+        raise ValueError(f"a {state.num_qubits}-qubit state does not fit a workspace built for {workspace.spec}")
+    return np.square(state.amplitudes, out=workspace.amps)
+
+
 def exact_distribution(state: Statevector, workspace: _Workspace | None = None) -> BasisWeights:
     """Measurement distribution |amplitude|^2; zero-probability states omitted.
 
     With every probability finite and nonzero, the usual case, the squared
     amplitudes are the weights as they are, over indices 0..2^m-1;
     otherwise the nonzero ones are gathered, and the check names a bad one.
-    A ``workspace`` is lent as scratch: the squares go into its buffer (a
-    state not its own is left as it is), and a full support returns its
-    ``full_support``, one object for every call, built at the first, whose
-    weights live until the workspace's next use.
+    A ``workspace`` of the state's size is lent as scratch: the squares go
+    into its buffer (a state not its own is left as it is), and a full
+    support returns its ``full_support``, one object for every call, built
+    at the first, whose weights live until the workspace's next use.
     """
-    probs = np.square(state.amplitudes, out=None if workspace is None else workspace.amps)
+    probs = _squares(state, workspace)
     if not (probs.min() > 0 and probs.max() < np.inf):  # a NaN makes both NaN
         nonzero = np.flatnonzero(probs != 0)  # nonzero scans a bool mask faster than floats
         return BasisWeights(nonzero, probs[nonzero], state.num_qubits)
@@ -352,12 +362,12 @@ def sample(state: Statevector, shots: int, rng: np.random.Generator, workspace: 
     """Multinomial draw of ``shots`` measurements from the state.
 
     Deterministic given the generator's stream position.  A lent
-    ``workspace`` holds the probabilities in its buffer (a state not its
-    own is left as it is).
+    ``workspace`` of the state's size holds the probabilities in its buffer
+    (a state not its own is left as it is).
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = np.square(state.amplitudes, out=None if workspace is None else workspace.amps)
+    probs = _squares(state, workspace)
     probs /= probs.sum()  # guard against 1e-16 normalization drift
     counts_vec = rng.multinomial(shots, probs)
     del probs  # without a workspace, freed before the mask, which then adds nothing to the peak

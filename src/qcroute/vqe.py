@@ -66,8 +66,8 @@ class VqeConfig:
             raise ValueError("maxiter must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.ftol <= 0:
-            raise ValueError("ftol must be positive")
+        if not 0 < self.ftol < math.inf:  # NaN fails too
+            raise ValueError(f"ftol must be positive and finite, got {self.ftol}")
 
 
 @dataclass
@@ -277,48 +277,42 @@ def check_shots(q: CableQubo, shots: int) -> None:
 
 
 def check_kappa(instance: Instance, kappa: float, shots: int = 0) -> None:
-    """Raise ValueError unless ``kappa`` gives every cable a valid block:
-    positive and finite, with finite etas and a finite energy bound, and,
-    once every block is built, one whose ``shots`` sampled energies sum
-    without overflow (``check_shots``)."""
-    for block in [cable_block(instance, cable, kappa) for cable in instance.cables]:
+    """Raise ValueError unless ``kappa`` builds every cable's block and each
+    admits ``shots`` sampled energies (``check_shots``)."""
+    for block in _cable_row(instance, kappa):
         check_shots(block, shots)
 
 
-@dataclass(frozen=True, eq=False)
-class _Row:
-    """The blocks built so far for one (instance, kappa) row, keyed by cable id."""
-
-    instance: Instance
-    kappa: float
-    blocks: dict[str, tuple[Cable, CableQubo]] = field(default_factory=dict)
+# The latest (instance, kappa, blocks) row, replaced whole when the key changes: a
+# caller keeps the row it matched, so a concurrent swap never mixes two keys.
+_row: tuple[Instance, float, tuple[CableQubo, ...]] | None = None
 
 
-# The latest row, replaced whole when the key changes: a caller keeps the row
-# it matched, so a concurrent swap can cost a rebuild but never mix two keys.
-_row: _Row | None = None
+def _build_block(instance: Instance, cable: Cable, kappa: float) -> CableQubo:
+    return build_cable_qubo(instance, cable, scale_penalties(default_penalties(instance, cable), kappa))
 
 
-def cable_block(instance: Instance, cable: Cable, kappa: float) -> CableQubo:
-    """One cable's block with its baseline penalty weights scaled by ``kappa``.
+def _cable_row(instance: Instance, kappa: float) -> tuple[CableQubo, ...]:
+    """Every cable's block at ``kappa``, in cable order, built whole.
 
-    The blocks of the latest (instance, kappa) row are kept, the key matched
-    by value, so the solves of one row (the seeds of a sweep row, in each
-    worker process too) share one read-only block per cable and build its
-    ``energy_table`` once.  Another instance or kappa replaces the whole
-    row, so at most one row is held: with ``shots=0``, ``num_cables``
-    tables of ``2^dim`` floats.
+    The latest row is kept, its key matched by value, so the solves of one
+    row (a sweep row's seeds, in each worker process too) share its
+    read-only blocks and their ``energy_table``: with ``shots=0``,
+    ``num_cables`` tables of ``2^dim`` floats.
     """
     global _row
     row = _row
-    if row is None or row.kappa != kappa or row.instance != instance:
-        row = _row = _Row(instance, kappa)
-    kept = row.blocks.get(cable.id)
-    if kept is not None and kept[0] == cable:
-        return kept[1]
-    block = build_cable_qubo(instance, cable, scale_penalties(default_penalties(instance, cable), kappa))
-    row.blocks[cable.id] = (cable, block)
-    return block
+    if row is None or row[1] != kappa or row[0] != instance:
+        row = _row = (instance, kappa, tuple(_build_block(instance, c, kappa) for c in instance.cables))
+    return row[2]
+
+
+def cable_block(instance: Instance, cable: Cable, kappa: float) -> CableQubo:
+    """One cable's block with its baseline penalty weights scaled by ``kappa``:
+    the row's, so a kappa that fails any cable raises; a cable not in
+    ``instance`` gets a block of its own, not kept."""
+    row = _cable_row(instance, kappa)
+    return row[instance.cables.index(cable)] if cable in instance.cables else _build_block(instance, cable, kappa)
 
 
 # A solve runs its cables on threads only if it samples and every block has at
@@ -353,10 +347,10 @@ def solve_cables(
 ) -> list[SolveResult]:
     """VQE on the block of each cable of ``indices``, the results in that order.
 
-    The row's blocks are built first, on the calling thread, and each is
-    handed to ``vqe_solve`` with its cable's subseed.  A sampled solve
-    (``shots >= 1``) of at least two cables whose blocks all have at least
-    ``_CONCURRENT_MIN_STATES`` states runs the cables on
+    The whole row is built first (``_cable_row``), on the calling thread,
+    and each block is handed to ``vqe_solve`` with its cable's subseed.  A
+    sampled solve (``shots >= 1``) of at least two cables whose blocks all
+    have at least ``_CONCURRENT_MIN_STATES`` states runs the cables on
     ``min(cables, 2, usable cores // workers)`` threads, where ``workers``
     is the number of processes that solve at the same time (a sweep's
     workers); every other solve runs them one after another.  Each cable
@@ -364,7 +358,8 @@ def solve_cables(
     the loop's.  The first cable in order that fails raises its error, once
     the cables already running have finished; pending cables never start.
     """
-    blocks = [cable_block(instance, instance.cables[index], kappa) for index in indices]
+    row = _cable_row(instance, kappa)
+    blocks = [row[index] for index in indices]
     configs = [replace(config, seed=cable_subseed(config.seed, index)) for index in indices]
     threads = min(len(blocks), _CONCURRENT_MAX_THREADS, _usable_cores() // workers)
     if config.shots == 0 or threads < 2 or min(1 << b.dim for b in blocks) < _CONCURRENT_MIN_STATES:

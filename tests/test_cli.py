@@ -124,6 +124,18 @@ class TestQubo:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("kappa, cable", [("1.6e307", "c1"), ("5e306", "c1"), ("2e305", "c3")])
+    def test_overflowing_block_of_any_cable_exit_2(self, kappa, cable, capsys):
+        # The kappa is admitted by the whole row: at 2e305 c1's block is finite, c3's is not.
+        assert main(["qubo", "layout-1", "--cable", "c1", "--kappa", kappa]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"block of cable '{cable}' at kappa {float(kappa)}" in captured.err
+
+    def test_every_block_finite_at_1e304_exit_0(self, capsys):
+        assert main(["qubo", "layout-1", "--cable", "c1", "--kappa", "1e304"]) == 0
+        assert json.loads(capsys.readouterr().out)["cable_id"] == "c1"
+
 
 class TestSolve:
     def test_brute_triangle(self, triangle_path, capsys):

@@ -273,6 +273,17 @@ class TestTables:
         assert "layout-1 c1 0.25 0 -" in lines
         assert "layout-1 c1 1 0.8 0" in lines
 
+    def test_records_of_two_layouts_rejected(self):
+        # Both layouts have a cable c1; merged, they would read as one cell.
+        records = [record(layout="A"), record(layout="B", seed=1, feasible=False)]
+        with pytest.raises(ValueError, match=r"records span multiple layouts: \['A', 'B'\]"):
+            build_report(records)
+
+    def test_an_empty_report_prints_only_headers(self):
+        report = build_report([])
+        assert summary_table(report) == "layout cable kappa emp_prob opt_gap_mean\n"
+        assert all(not line or line.startswith(("#", "cable")) for line in plot_tables(report).splitlines())
+
     def test_plot_tables_shape(self):
         records = cell(3, 4) + cell(2, 4, kappa=4.0) + cell(1, 4, cable="c2") + cell(0, 4, cable="c2", kappa=4.0)
         text = plot_tables(build_report(records))

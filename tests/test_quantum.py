@@ -238,6 +238,16 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="workspace built for"):
             prepare_state(AnsatzSpec(4, 2), np.ones(12), workspace)
 
+    @pytest.mark.parametrize("amplitudes, qubits", [(1, 0), (8, 3)])
+    def test_a_state_of_another_size_is_refused(self, amplitudes, qubits):
+        workspace = _Workspace(AnsatzSpec(4, 1))
+        state = quantum.Statevector(np.full(amplitudes, amplitudes ** -0.5))
+        match = rf"a {qubits}-qubit state does not fit a workspace built for AnsatzSpec\(num_qubits=4, reps=1\)"
+        with pytest.raises(ValueError, match=match):
+            exact_distribution(state, workspace)
+        with pytest.raises(ValueError, match=match):
+            sample(state, 10, np.random.default_rng(0), workspace)
+
     def test_full_support_is_one_object_checked_once(self, monkeypatch):
         m = 11
         spec = AnsatzSpec(m, 1)

@@ -49,6 +49,8 @@ class TestVqeConfig:
             {"reps": -1},
             {"maxiter": 0},
             {"ftol": 0.0},
+            {"ftol": float("nan")},
+            {"ftol": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
@@ -336,6 +338,11 @@ class TestBlockRow:
         block = cable_block(layout1, foreign, 1.0)
         assert block is not kept
         assert np.array_equal(block.q, baseline_qubo(layout1, foreign).q)
+
+    def test_a_kappa_that_fails_another_cable_fails_every_block(self, layout1):
+        # At 2e305 c1's block is finite, c3's energy bound is not.
+        with pytest.raises(ValueError, match=r"block of cable 'c3' at kappa 2e\+305"):
+            cable_block(layout1, layout1.cables[0], 2e305)
 
     def test_solves_share_the_row_and_its_tables(self, layout1):
         config = VqeConfig(shots=0, maxiter=2, seed=3)
