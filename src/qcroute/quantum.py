@@ -20,9 +20,11 @@ into the weights, and an exact distribution over every basis state is the
 workspace's one ``full_support``.  Without a workspace each call builds a throwaway one, and
 its state is a fresh array.  The first rotation layer and the first CNOT
 chain are one product state built by doubling (the chain only permutes
-amplitudes, so it picks each qubit's cos or sin factor).  Each later
-rotation is four in-place numpy calls into prebuilt pair views,
-``a0*c + a1*(-s)`` and ``a1*c + a0*s``, which equal ``c*a0 - s*a1`` and
+amplitudes, so it picks each qubit's cos or sin factor), two broadcast
+numpy calls a qubit.  Each later rotation is three in-place numpy calls into
+prebuilt views: the swapped pairs ``(a1, a0)`` times ``(-s, s)`` into a
+scratch, the state times ``c``, and the scratch added, which gives
+``a0*c + a1*(-s)`` and ``a1*c + a0*s``, equal to ``c*a0 - s*a1`` and
 ``s*a0 + c*a1`` bit for bit.  A rotation layer runs in two passes over tiles
 of ``_TILE`` amplitudes, so that a tile and its scratch stay in cache however
 large the state: the low half of the qubits, whose amplitude pairs lie close
@@ -31,6 +33,12 @@ columns.  A state of at most one tile is one band in each pass.  The passes
 run with numpy's ufunc buffer shrunk to ``_BUFSIZE`` elements inside
 ``np.errstate``, which keeps the setting to the calling thread and restores
 it on exit.
+
+``estimate_energy`` reads a block's energies from its ``energy_table`` when
+the weights cover every basis state, and for any weights when the block's
+energies are exact (``CableQubo.exact_energies``) and the table holds at most
+``_TILE`` floats; it forms them per call otherwise.  Either way the floats
+are those of the per-call form.
 
 Bit-ordering convention, fixed everywhere: variable i of the QUBO block is
 qubit i is the i-th character of a bitstring, and qubit i is bit i of the flat
@@ -131,7 +139,8 @@ class SampleCounts:
 
 
 def index_to_bitstring(index: int, num_qubits: int) -> str:
-    return "".join("1" if (index >> i) & 1 else "0" for i in range(num_qubits))
+    """The '0'/'1' string of basis ``index`` < 2^num_qubits, character i for bit i."""
+    return format(index, f"0{num_qubits}b")[::-1]
 
 
 _TILE = 1 << 16  # amplitudes per band of a rotation pass (512 KiB of float64)
@@ -146,10 +155,10 @@ _BUFSIZE = 256
 
 
 def _pair_views(work: np.ndarray, scratch: np.ndarray, qubit: int, shape: tuple[int, int, int]) -> tuple:
-    """``(qubit, v0, v1, scratch0, scratch1)``: the pairs that RY on ``qubit``
-    updates in ``work`` held as ``shape``, and the same slots of ``scratch``."""
-    view, spare = work.reshape(shape), scratch.reshape(shape)
-    return qubit, view[:, 0, :], view[:, 1, :], spare[:, 0, :], spare[:, 1, :]
+    """``(qubit, swapped, spare)``: the pairs that RY on ``qubit`` updates in
+    ``work`` held as ``shape``, each pair's two amplitudes swapped, and the
+    same slots of ``scratch``."""
+    return qubit, work.reshape(shape)[:, ::-1, :], scratch.reshape(shape)
 
 
 class _Workspace:
@@ -159,11 +168,14 @@ class _Workspace:
     state-sized array and makes only the numpy calls into views found here:
 
     * ``amps``, the state, which every ``prepare`` overwrites;
-    * the first layer's half and quarter slices of ``amps``;
+    * the first layer's halves of ``amps`` (in two quarters once a chain
+      follows), and a ``(4, m)`` table of their factors with a column view
+      per qubit;
+    * a later layer's ``(-sin, sin)`` per qubit, each as a column view;
     * the rotation tile, and a second tile only when the state is larger
       than ``_TILE`` amplitudes;
-    * per band of each rotation pass, the pair views ``(v0, v1, scratch0,
-      scratch1)`` of every qubit it rotates;
+    * per band of each rotation pass, the swapped pair view and the scratch
+      view of every qubit it rotates;
     * from ``reps`` 2 on, the CNOT chain's index and gather buffer;
     * ``full_support``, the ``BasisWeights`` of ``amps`` over ``arange(2^m)``
       that every full-support exact distribution returns, built on first use.
@@ -177,17 +189,25 @@ class _Workspace:
         self.spec = spec
         self.amps = amps = np.empty(1 << m)
 
-        # The first layer, by doubling: (qubit, swap, filled part, its copy).
-        # Once the chain follows, the upper quarter takes (sin, cos) (swap).
-        self._doubling: list[tuple[int, bool, np.ndarray, np.ndarray]] = []
+        # The first layer, by doubling: (filled part, its copy, their factors)
+        # per qubit, the factors read from rows (cos, sin, sin, cos) of the
+        # first layer's angles.  Once the chain follows, the filled part is
+        # two quarters: the lower takes (cos, sin), the upper (sin, cos).
+        self._factors = np.empty((4, m))
+        self._doubling: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         for qubit in range(m):
             half = 1 << qubit
+            filled, copy = amps[:half], amps[half:2 * half]
+            factors = self._factors[:, qubit:qubit + 1]
             if qubit == 0 or spec.reps == 0:
-                self._doubling.append((qubit, False, amps[:half], amps[half:2 * half]))
+                self._doubling.append((filled, copy, factors[0], factors[1]))
             else:
-                quarter = half >> 1
-                self._doubling.append((qubit, False, amps[:quarter], amps[half:half + quarter]))
-                self._doubling.append((qubit, True, amps[quarter:half], amps[half + quarter:2 * half]))
+                quarters = (2, half >> 1)
+                self._doubling.append((filled.reshape(quarters), copy.reshape(quarters), factors[0:2], factors[2:4]))
+
+        # A later layer's (-sin, sin) per qubit, each as a (1, 2, 1) column.
+        self._signed_sin = np.empty((2, m))
+        self._coefs = [self._signed_sin[:, qubit].reshape(1, 2, 1) for qubit in range(m)]
 
         # The rotation passes: (load, work, scratch, pairs, store) per band.
         h = m // 2
@@ -226,24 +246,27 @@ class _Workspace:
         indices.flags.writeable = False
         return BasisWeights(indices, self.amps, self.spec.num_qubits)
 
-    def prepare(self, cos: list[float], sin: list[float]) -> np.ndarray:
+    def prepare(self, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
         """Run the ansatz into ``amps`` and return it; ``cos`` and ``sin`` of every half angle.
 
         The first layer (and the first chain, by its factors) is filled by
         doubling: amplitude y is the left-to-right product over q of
         ``(cos, sin)[y_q]``, or after the chain ``(cos, sin)[y_q ^ y_(q-1)]``,
         so the lower half of the filled prefix (bit q-1 clear) takes (cos,
-        sin) and its upper half (sin, cos).  Later chains and rotation layers
-        run with numpy's ufunc buffer at ``_BUFSIZE`` elements, within
-        ``np.errstate``, which restores the caller's size on exit, raise or
-        not, in this thread only.
+        sin) and its upper half (sin, cos): one broadcast multiply into the
+        copy and one into the filled part per qubit.  Later chains and
+        rotation layers run with numpy's ufunc buffer at ``_BUFSIZE``
+        elements, within ``np.errstate``, which restores the caller's size
+        on exit, raise or not, in this thread only.
         """
         m = self.spec.num_qubits
+        self._factors[0::3] = cos[:m]
+        self._factors[1:3] = sin[:m]
         self.amps[0] = 1.0
-        for qubit, swap, filled, copy in self._doubling:
-            c, s = (sin[qubit], cos[qubit]) if swap else (cos[qubit], sin[qubit])
-            np.multiply(filled, s, out=copy)
-            filled *= c
+        for filled, copy, f_filled, f_copy in self._doubling:
+            np.multiply(filled, f_copy, out=copy)
+            filled *= f_filled
+        cos = cos.tolist()
         with np.errstate():
             np.setbufsize(_BUFSIZE)
             for layer in range(1, self.spec.reps + 1):
@@ -263,7 +286,7 @@ class _Workspace:
         np.take(self.amps, self._source, out=self._gathered, mode="clip")
         np.copyto(self.amps, self._gathered)
 
-    def _rotation_layer(self, cos: list[float], sin: list[float]) -> None:
+    def _rotation_layer(self, cos: list[float], sin: np.ndarray) -> None:
         """RY on every qubit, qubit 0 first, in place on ``amps``, one band at a time.
 
         The state is held as the grid ``(2^(m-h), 2^h)``, ``h = m // 2``: a
@@ -279,19 +302,22 @@ class _Workspace:
         one band in each pass: pass 2 then rotates the contiguous state in
         place, with the one tile as the scratch.
 
-        A rotation forms ``a0*c + a1*(-s)`` and ``a1*c + a0*s`` in four
-        calls, the same IEEE results as ``c*a0 - s*a1`` and ``s*a0 + c*a1``:
-        negation is exact, ``x + (-y)`` is ``x - y``, and products and sums
-        commute.  Every amplitude sees qubits 0..m-1 in order with the same
-        four operations, so the floats are those of the plain update.
+        A rotation forms ``a0*c + a1*(-s)`` and ``a1*c + a0*s`` in three
+        calls: the swapped pairs ``(a1, a0)`` times the qubit's column
+        ``(-s, s)`` of ``_signed_sin`` into the scratch, the band times ``c``, and the
+        scratch added.  These are the same IEEE results as ``c*a0 - s*a1``
+        and ``s*a0 + c*a1``: negation is exact, ``x + (-y)`` is ``x - y``,
+        and products and sums commute.  Every amplitude sees qubits 0..m-1
+        in order with the same operations, so the floats are those of the
+        plain update.
         """
+        np.negative(sin, out=self._signed_sin[0])
+        self._signed_sin[1] = sin
         for load, work, scratch, pairs, store in self._bands:
             if load is not None:
                 np.copyto(*load)
-            for qubit, v0, v1, scratch0, scratch1 in pairs:
-                s = sin[qubit]
-                np.multiply(v1, -s, out=scratch0)
-                np.multiply(v0, s, out=scratch1)
+            for qubit, swapped, spare in pairs:
+                np.multiply(swapped, self._coefs[qubit], out=spare)
                 work *= cos[qubit]
                 work += scratch
             if store is not None:
@@ -324,8 +350,7 @@ def prepare_state(spec: AnsatzSpec, theta, workspace: _Workspace | None = None) 
     elif workspace.spec != spec:
         raise ValueError(f"workspace built for {workspace.spec}, not {spec}")
     half_angles = theta / 2.0
-    # elementwise, as per-angle calls; Python floats, the same doubles
-    return Statevector(workspace.prepare(np.cos(half_angles).tolist(), np.sin(half_angles).tolist()))
+    return Statevector(workspace.prepare(np.cos(half_angles), np.sin(half_angles)))
 
 
 def _squares(state: Statevector, workspace: _Workspace | None) -> np.ndarray:
@@ -386,15 +411,23 @@ def estimate_energy(weights: BasisWeights | SampleCounts, q: CableQubo) -> tuple
     energy)); energy ties resolve to the lexicographically smallest
     bitstring.
 
-    With weight on all 2^m basis states, as in the usual exact
-    distribution, the indices are 0..2^m-1 in order (the ``BasisWeights``
-    invariant), and the energies come from the block's ``energy_table``,
-    built once per block: ``block_energies``' expression on the same bit
-    matrix, formed 2^12 rows at a time, which gives the same floats.  Weights
-    missing some basis state (most samples, or a state with a zero amplitude)
-    have the energies of their own indices computed per call: looking them
-    up in the table would not be byte-identical, because a ``bits @ Q`` of
-    few rows may take another BLAS path than the full matrix.
+    The energies come from the block's ``energy_table``, built once per
+    block (``block_energies``' expression on the same bit matrix, formed
+    2^12 rows at a time), in two cases:
+
+    * weight on all 2^m basis states, as in the usual exact distribution:
+      the indices are 0..2^m-1 in order (the ``BasisWeights`` invariant), so
+      the table is the energies as it is, with the same floats;
+    * any weights on a block whose energies are exact
+      (``CableQubo.exact_energies``) of at most ``_TILE`` states (a table of
+      at most 512 KiB): the table is gathered at the indices, and every
+      entry is the per-call float, because no summation order can round.
+
+    Other weights (most samples of a larger or an inexact block, or a state
+    with a zero amplitude) have the energies of their own indices computed
+    per call: a lookup would not be byte-identical there, because a
+    ``bits @ Q`` of few rows may take another BLAS path than the table's
+    chunks, and on an inexact block its floats may differ in the last bit.
     """
     if isinstance(weights, SampleCounts):
         weights = weights.counts
@@ -407,6 +440,8 @@ def estimate_energy(weights: BasisWeights | SampleCounts, q: CableQubo) -> tuple
     w = np.asarray(weights.weights, dtype=np.float64)
     if len(idx) == 1 << m:
         energies = q.energy_table  # idx is exactly arange(2^m)
+    elif 1 << m <= _TILE and q.exact_energies:
+        energies = q.energy_table[idx]
     else:
         energies = block_energies(q, ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64))
     e_exp = float((w @ energies) / w.sum())

@@ -117,7 +117,13 @@ class VariableMap:
 
 @dataclass(frozen=True, eq=False)
 class CableQubo:
-    """One cable's penalty-augmented QUBO block."""
+    """One cable's penalty-augmented QUBO block.
+
+    Two facts are cached per block on first use: ``energy_table``, the
+    energies of every basis state, and ``exact_energies``, whether every
+    energy is formed without rounding, so that a lookup in the table gives
+    the per-call bytes for any set of states.
+    """
 
     dim: int
     q: np.ndarray
@@ -145,6 +151,27 @@ class CableQubo:
             pass
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def exact_energies(self) -> bool:
+        """Whether every form of every energy of this block is computed exactly.
+
+        True when every ``Q_ij`` and the offset are integer multiples of one
+        ``2^-K`` with ``A·2^K ≤ 2^53``, ``A = Σ|Q_ij| + |offset|`` (and the
+        offset is not -0.0).  Then every partial sum of any subset of the
+        terms, in any order, is an integer multiple of ``2^-K`` of magnitude
+        at most ``2^53·2^-K``, so it is a float: every BLAS kernel, row count
+        and summation order gives the same energy bytes, and a lookup in
+        ``energy_table`` equals the per-call computation.  ``K`` is ``53 - e``
+        for the float ``A < 2^e``; the float ``A`` is at least ``2^53·2^-K``
+        whenever the exact one is, so the test is sound.  Computed on first
+        use and kept for the block's lifetime.
+        """
+        bound = float(np.abs(self.q).sum()) + abs(self.offset)
+        if not math.isfinite(bound) or math.copysign(1.0, self.offset) == -1.0 and self.offset == 0.0:
+            return False  # with offset -0.0, a zero energy's sign would follow the summation order
+        scaled = np.ldexp(np.append(self.q, self.offset), 53 - math.frexp(bound)[1])
+        return bool(np.all(scaled == np.rint(scaled)))
 
 
 @dataclass(frozen=True, eq=False)

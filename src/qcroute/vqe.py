@@ -90,24 +90,33 @@ def _nelder_mead(x0: np.ndarray, ftol: float) -> Generator[np.ndarray, float, No
     simplex is still large.)  The lowest simplex value is the lowest value
     ever received: rejected trial points never beat vertex 0, and a shrink
     keeps it.  The caller owns the budget and simply stops sending.
+
+    The simplex is one ``(dim + 1, dim)`` vertex array and one value array,
+    reordered by a stable argsort each iteration (NaN values sort last); a
+    yielded vertex is that array's row.  The centroid is the mean of the
+    rows but the worst, the same floats as ``np.mean`` over a list of them.
+    The spread test takes the builtin ``min`` and ``max`` of the values,
+    which skip a NaN that is not first, where ``ndarray.min``/``max`` would
+    return NaN.
     """
     step, alpha, gamma, rho, sigma = 0.5, 1.0, 2.0, 0.5, 0.5
-    vertices = [x0]
-    values = [(yield x0)]
-    for i in range(len(x0)):
-        point = x0.copy()
-        point[i] += step
-        vertices.append(point)
-        values.append((yield point))
+    dim = len(x0)
+    vertices = np.empty((dim + 1, dim))
+    values = np.empty(dim + 1)
+    vertices[0] = x0
+    values[0] = yield x0
+    for i in range(dim):
+        vertices[i + 1] = x0
+        vertices[i + 1, i] += step
+        values[i + 1] = yield vertices[i + 1]
 
-    cycle = len(x0) + 1
+    cycle = dim + 1
     best_at_check = min(values)
     iteration = 0
     while True:
         order = np.argsort(values, kind="stable")
-        vertices = [vertices[i] for i in order]
-        values = [values[i] for i in order]
-        centroid = np.mean(vertices[:-1], axis=0)
+        vertices, values = vertices[order], values[order]
+        centroid = vertices[:-1].mean(axis=0)
         worst = vertices[-1]
 
         reflected = centroid + alpha * (centroid - worst)
@@ -130,8 +139,8 @@ def _nelder_mead(x0: np.ndarray, ftol: float) -> Generator[np.ndarray, float, No
             if f_contracted < min(f_reflected, values[-1]):
                 vertices[-1], values[-1] = contracted, f_contracted
             else:
-                for i in range(1, len(vertices)):
-                    vertices[i] = vertices[0] + sigma * (vertices[i] - vertices[0])
+                vertices[1:] = vertices[0] + sigma * (vertices[1:] - vertices[0])
+                for i in range(1, dim + 1):
                     values[i] = yield vertices[i]
 
         iteration += 1

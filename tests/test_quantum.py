@@ -20,7 +20,7 @@ from qcroute import (
     qubo_energy,
     sample,
 )
-from qcroute import quantum, qubo
+from qcroute import VqeConfig, quantum, qubo, vqe
 from qcroute.quantum import _Workspace, index_to_bitstring
 from test_oracle import RING_18_CHORDS, baseline_qubo, chorded_ring, zero_qubo
 from reference import (
@@ -394,6 +394,11 @@ class TestBitOrdering:
         assert index_to_bitstring(1, 3) == "100"
         assert index_to_bitstring(4, 3) == "001"
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_equals_the_bit_by_bit_join(self, m):
+        for index in range(1 << m):
+            assert index_to_bitstring(index, m) == "".join("1" if (index >> i) & 1 else "0" for i in range(m))
+
 
 class TestExactDistribution:
     def test_point_mass(self):
@@ -637,6 +642,18 @@ def random_qubo(m, seed):
     return dataclasses.replace(zero_qubo(m), q=(raw + raw.T) / 2.0, offset=1.5)
 
 
+def inexact_qubo(m, seed):
+    """A symmetric block of tenths: its energies round, so it is not exact."""
+    raw = np.random.default_rng(seed).integers(-40, 41, size=(m, m)) / 10.0
+    return dataclasses.replace(zero_qubo(m), q=(raw + raw.T) / 2.0, offset=0.3)
+
+
+def random_subsets(m, rng, count):
+    """``count`` ascending random subsets of ``range(2^m)``, sized from 1 to 2^m."""
+    sizes = {min(n, 1 << m) for n in (1, 2, 3, 1 << m, *rng.integers(1, (1 << m) + 1, size=count).tolist())}
+    return [np.sort(rng.choice(1 << m, size=n, replace=False)) for n in sorted(sizes)]
+
+
 def assert_same_as_parent_formula(weights, q):
     e_exp, (best, energy) = estimate_energy(weights, q)
     parent_e_exp, (parent_best, parent_energy) = parent_estimate_energy(weights, q)
@@ -645,7 +662,8 @@ def assert_same_as_parent_formula(weights, q):
 
 class TestEnergyTablePath:
     """Weights on every basis state read the block's table; the result is the
-    pre-table formula's to the last bit, and weights missing a state bypass it."""
+    pre-table formula's to the last bit, and weights missing a state bypass it
+    unless the block is exact."""
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_full_distribution_matches_parent_formula(self, m):
@@ -673,12 +691,15 @@ class TestEnergyTablePath:
 
     @pytest.mark.parametrize("reps, theta", [(1, np.zeros(16)), (0, np.array([0.0, 1.0] * 4))])
     def test_subset_distribution_bypasses_the_table(self, reps, theta):
-        # All-zero angles give exactly-zero amplitudes, so some basis states have no weight.
-        q = random_qubo(8, 8)
+        # All-zero angles give exactly-zero amplitudes, so some basis states
+        # have no weight.  Such weights read the table of an exact block only.
         dist = exact_distribution(prepare_state(AnsatzSpec(8, reps), theta))
         assert len(dist) < 1 << 8
-        assert_same_as_parent_formula(dist, q)
-        assert "energy_table" not in vars(q)
+        exact, inexact = random_qubo(8, 8), inexact_qubo(8, 8)
+        for q in (exact, inexact):
+            assert_same_as_parent_formula(dist, q)
+        assert "energy_table" in vars(exact)
+        assert "energy_table" not in vars(inexact)
 
     def test_full_index_weights_out_of_order_are_rejected(self):
         dist = exact_distribution(prepare_state(AnsatzSpec(5, 1), np.linspace(0.2, 2.7, 10)))
@@ -703,3 +724,68 @@ class TestEnergyTablePath:
         rng = np.random.default_rng(3)
         for _ in range(8):
             assert_same_as_parent_formula(sample(state, 20, rng).counts, q)
+
+
+class TestExactBlockGather:
+    """On a block whose energies are exact (``CableQubo.exact_energies``) and
+    of at most ``_TILE`` states, any weights read the table, and the gathered
+    floats are the per-call ones under every BLAS kernel; other blocks keep
+    the per-call path for weights that miss a state."""
+
+    @staticmethod
+    def assert_gather_equals_per_call(q, rng, count):
+        m = q.dim
+        for idx in random_subsets(m, rng, count):
+            bits = ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64)
+            assert q.energy_table[idx].tobytes() == qubo.block_energies(q, bits).tobytes()
+            weights = BasisWeights(idx, rng.integers(1, 1000, size=len(idx)), m)
+            assert_same_as_parent_formula(weights, q)
+            assert_same_as_parent_formula(BasisWeights(idx, rng.random(len(idx)) + 0.01, m), q)
+
+    @pytest.mark.parametrize("kappa", [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+    def test_layout1_blocks_gather_the_per_call_bytes(self, layout1, kappa):
+        rng = np.random.default_rng(int(kappa * 8))
+        for cable in layout1.cables:
+            q = baseline_qubo(layout1, cable, kappa)
+            assert q.exact_energies
+            self.assert_gather_equals_per_call(q, rng, 10)
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_dyadic_blocks_gather_the_per_call_bytes(self, m):
+        q = random_qubo(m, 40 + m)
+        assert q.exact_energies
+        self.assert_gather_equals_per_call(q, np.random.default_rng(m), 8)
+
+    def test_a_subset_of_an_exact_block_reads_the_table_up_to_one_tile(self):
+        rng = np.random.default_rng(0)
+        for m, read in ((16, True), (17, False)):
+            q = random_qubo(m, m)
+            assert q.exact_energies
+            assert_same_as_parent_formula(BasisWeights(np.sort(rng.choice(1 << m, 50, replace=False)), np.ones(50), m), q)
+            assert ("energy_table" in vars(q)) == read
+
+    def test_exactness_truth_table(self, layout1, layout2):
+        assert all(baseline_qubo(layout1, c, k).exact_energies for c in layout1.cables for k in (0.25, 1.0, 4.0))
+        assert not any(baseline_qubo(layout2, c, k).exact_energies for c in layout2.cables for k in (0.25, 1.0, 4.0))
+
+        def block(*entries, offset=0.0):
+            return dataclasses.replace(zero_qubo(len(entries)), q=np.diag(entries), offset=offset)
+
+        assert not block(1.0, 0.1).exact_energies
+        assert not block(1.0, 0.5, offset=0.1).exact_energies
+        assert block(2.0**52, 1.0).exact_energies  # A = 2^52 + 1, multiples of 1
+        assert block(2.0**51, 0.5).exact_energies  # A·2 = 2^52 + 1
+        assert not block(2.0**52, 0.5).exact_energies  # A·2 = 2^53 + 1
+        # A = 2^53 + 1, whose float sum rounds to 2^53: still past the bound
+        assert not block(2.0**53 - 1.0, 2.0).exact_energies
+        assert not block(2.0**-60, 1.0).exact_energies  # multiples of 2^-60: A·2^60 > 2^53
+        assert block(0.0, 0.0).exact_energies
+        assert not block(0.0, 0.0, offset=-0.0).exact_energies
+        assert not block(np.inf, 1.0).exact_energies
+        assert not block(np.nan, 1.0).exact_energies
+
+    def test_a_sampled_layout2_solve_builds_no_table(self, layout2):
+        block = vqe.cable_block(layout2, layout2.cables[0], 1.0)
+        assert not block.exact_energies
+        vqe.vqe_solve(block, VqeConfig(shots=100, maxiter=3, seed=1), layout2)
+        assert "energy_table" not in vars(block)

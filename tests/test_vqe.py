@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import threading
 import time
 import weakref
@@ -122,6 +123,26 @@ class TestMinimize:
                 assert trace.values == want_values
                 assert trace.converged == want_converged
                 assert value == want_value
+                assert theta.tobytes() == want_theta.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_equals_frozen_parent_when_every_kth_value_is_nan(self, k):
+        # argsort puts NaN last, and the builtin min/max over the simplex
+        # values skip a NaN that is not first; ndarray.min/max would not.
+        def nan_every_kth():
+            calls = itertools.count(1)
+            return lambda x: np.nan if next(calls) % k == 0 else float(np.sum(np.sin(x) ** 2))
+
+        for seed in range(3):
+            for dim, ftol in ((2, 1e-2), (5, 1e-6)):
+                config = VqeConfig(maxiter=120, ftol=ftol)
+                theta, value, trace = minimize(nan_every_kth(), dim, config, np.random.default_rng(seed))
+                want_theta, want_value, want_values, want_converged = parent_minimize(
+                    nan_every_kth(), dim, config, np.random.default_rng(seed)
+                )
+                assert np.array(trace.values).tobytes() == np.array(want_values).tobytes()
+                assert trace.converged == want_converged
+                assert repr(value) == repr(want_value)
                 assert theta.tobytes() == want_theta.tobytes()
 
     def test_budget_never_exceeded(self):
