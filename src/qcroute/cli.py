@@ -179,7 +179,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.path, encoding="utf-8") as handle:
+    with open(args.path, encoding="utf-8", newline="") as handle:  # keeps a quoted "\r"
         records = records_from_csv(handle.read())
     if not records:
         raise ValueError("results CSV has no data rows")

@@ -250,9 +250,11 @@ def build_report(records: Iterable[RunRecord]) -> SweepReport:
 def records_to_csv(records: Iterable[RunRecord]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    # The writer quotes a "\n" but not a "\r", which the reader takes for a line end.
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CSV_HEADER.split(","))
     for r in records:
-        writer.writerow(
+        (quoted if "\r" in r.layout + r.cable_id else writer).writerow(
             [
                 r.layout,
                 r.cable_id,
@@ -268,24 +270,32 @@ def records_to_csv(records: Iterable[RunRecord]) -> str:
     return out.getvalue()
 
 
-def _csv_float(text: str, lineno: int, field: str) -> float:
+def _csv_float(text: str, lineno: int, field: str, nonnegative: bool = False) -> float:
     try:
         x = float(text)
     except ValueError:
         raise ValueError(f"line {lineno}: {field} {text!r} is not a number") from None
     if not math.isfinite(x):
         raise ValueError(f"line {lineno}: {field} must be finite, got {text!r}")
+    if nonnegative and x < 0.0:
+        raise ValueError(f"line {lineno}: {field} must be nonnegative, got {text!r}")
     return x
 
 
 def records_from_csv(text: str) -> list[RunRecord]:
     """Parse a results CSV; raises ValueError naming the line and field.
 
-    Besides schema mismatches it rejects a non-finite number, a kappa <= 0,
-    a negative seed, a feasible row with no objective and a repeated
-    (layout, cable_id, kappa, seed) key.
+    Besides schema mismatches it rejects what a sweep never writes: a
+    non-finite number, a kappa <= 0, a negative seed, objective,
+    oracle_objective or opt_gap (costs are nonnegative), a feasible row with
+    no objective, an infeasible row with an objective or opt_gap, and a
+    repeated (layout, cable_id, kappa, seed) key.
     """
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # an unquoted "\r" inside a field
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not rows or rows[0] != CSV_HEADER.split(","):
         raise ValueError(f"results CSV must start with header {CSV_HEADER!r}")
     records = []
@@ -298,6 +308,9 @@ def records_from_csv(text: str) -> list[RunRecord]:
             raise ValueError(f"line {lineno}: feasible must be true/false, got {feasible!r}")
         if feasible == "true" and not objective:
             raise ValueError(f"line {lineno}: a feasible row needs an objective")
+        for field, value in (("objective", objective), ("opt_gap", gap)):
+            if feasible == "false" and value:
+                raise ValueError(f"line {lineno}: an infeasible row leaves {field} empty, got {value!r}")
         kappa_value = _csv_float(kappa, lineno, "kappa")
         if kappa_value <= 0.0:
             raise ValueError(f"line {lineno}: kappa must be positive, got {kappa!r}")
@@ -319,9 +332,9 @@ def records_from_csv(text: str) -> list[RunRecord]:
                 seed=seed_value,
                 feasible=feasible == "true",
                 energy=_csv_float(energy, lineno, "energy"),
-                objective=_csv_float(objective, lineno, "objective") if objective else None,
-                oracle_objective=_csv_float(oracle_objective, lineno, "oracle_objective"),
-                opt_gap=_csv_float(gap, lineno, "opt_gap") if gap else None,
+                objective=_csv_float(objective, lineno, "objective", nonnegative=True) if objective else None,
+                oracle_objective=_csv_float(oracle_objective, lineno, "oracle_objective", nonnegative=True),
+                opt_gap=_csv_float(gap, lineno, "opt_gap", nonnegative=True) if gap else None,
             )
         )
     return records

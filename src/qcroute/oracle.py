@@ -181,7 +181,7 @@ def _kept_chunk_starts(q: CableQubo) -> list[int] | None:
     flops a state.
 
     Both forms of a state's energy are within ``gamma_(2m+4) * A`` of its
-    exact value (m = dim, A = sum|Q_ij| + |offset|, gamma_n = nu / (1 - nu),
+    exact value (m = dim, A = ``q.energy_bound``, gamma_n = nu / (1 - nu),
     u = 2^-53): no term passes through more than 2m+4 roundings.  So a chunk
     whose screen minimum is above the least one, g, by more than twice the
     two forms' bounds holds only states whose full-form energy is strictly
@@ -216,7 +216,7 @@ def _kept_chunk_starts(q: CableQubo) -> list[int] | None:
 
     n = 2 * q.dim + 4
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    bound = gamma * 2.0 * (float(np.abs(q.q).sum()) + abs(q.offset))  # per form
+    bound = gamma * 2.0 * q.energy_bound  # per form
     limit = minima.min() + 2.0 * (bound + bound)
     if not np.isfinite(limit):
         return None

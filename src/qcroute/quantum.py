@@ -10,35 +10,11 @@ basis indices and their positive weights, checked once at construction.  The
 '0'/'1' bitstring form is built only for the best state ``estimate_energy``
 reports, and for a bad weight's error message.
 
-State preparation forms exactly the floats of the gate-by-gate circuit with
-few passes over memory, in a ``_Workspace``: the state buffer, the rotation
-tiles and every view an evaluation works on, built once for an ansatz shape.
-``vqe_solve`` builds one per solve and lends it to ``prepare_state``,
-``sample`` and ``exact_distribution``, so that an evaluation allocates no
-state-sized array: the state is overwritten in place and squared in place
-into the weights, and an exact distribution over every basis state is the
-workspace's one ``full_support``.  Without a workspace each call builds a throwaway one, and
-its state is a fresh array.  The first rotation layer and the first CNOT
-chain are one product state built by doubling (the chain only permutes
-amplitudes, so it picks each qubit's cos or sin factor), two broadcast
-numpy calls a qubit.  Each later rotation is three in-place numpy calls into
-prebuilt views: the swapped pairs ``(a1, a0)`` times ``(-s, s)`` into a
-scratch, the state times ``c``, and the scratch added, which gives
-``a0*c + a1*(-s)`` and ``a1*c + a0*s``, equal to ``c*a0 - s*a1`` and
-``s*a0 + c*a1`` bit for bit.  A rotation layer runs in two passes over tiles
-of ``_TILE`` amplitudes, so that a tile and its scratch stay in cache however
-large the state: the low half of the qubits, whose amplitude pairs lie close
-together, is rotated in transposed bands of rows, the high half in bands of
-columns.  A state of at most one tile is one band in each pass.  The passes
-run with numpy's ufunc buffer shrunk to ``_BUFSIZE`` elements inside
-``np.errstate``, which keeps the setting to the calling thread and restores
-it on exit.
-
-``estimate_energy`` reads a block's energies from its ``energy_table`` when
-the weights cover every basis state, and for any weights when the block's
-energies are exact (``CableQubo.exact_energies``) and the table holds at most
-``_TILE`` floats; it forms them per call otherwise.  Either way the floats
-are those of the per-call form.
+``prepare_state`` forms exactly the floats of the gate-by-gate circuit in a
+``_Workspace``, which lists the buffers an evaluation reuses;
+``_Workspace.prepare`` and ``_Workspace._rotation_layer`` show why the
+floats are those of the plain gates.  ``estimate_energy`` takes a block's
+energies from ``CableQubo.energies``.
 
 Bit-ordering convention, fixed everywhere: variable i of the QUBO block is
 qubit i is the i-th character of a bitstring, and qubit i is bit i of the flat
@@ -52,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import CableQubo, block_energies, check_block_dim
+from .qubo import CableQubo, check_block_dim
 
 __all__ = [
     "AnsatzSpec",
@@ -330,15 +306,11 @@ def prepare_state(spec: AnsatzSpec, theta, workspace: _Workspace | None = None) 
     Parameter order is layer by layer, qubit 0..m-1 within each layer;
     ``spec.parameter_count`` angles in total.
 
-    The state is formed in a ``_Workspace`` of ``spec``: the first rotation
-    layer and the first CNOT chain as one product state, each later layer
-    in place, one tile at a time, with numpy's ufunc buffer shrunk to
-    ``_BUFSIZE`` elements for the rotation passes only (restored on exit, in
-    this thread only).  The amplitudes are byte-identical to applying the
-    gates one at a time.  Without ``workspace`` the call builds a throwaway
-    one, so the returned state is a fresh array that no later call touches.
-    With the solve's ``workspace`` (built for ``spec``) the state is the
-    workspace's own buffer, which the next call overwrites.
+    The amplitudes are byte-identical to applying the gates one at a time
+    (``_Workspace.prepare``).  Without ``workspace`` the call builds a
+    throwaway one, so the returned state is a fresh array that no later call
+    touches.  With the solve's ``workspace`` (built for ``spec``) the state
+    is the workspace's own buffer, which the next call overwrites.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (spec.parameter_count,):
@@ -409,25 +381,7 @@ def estimate_energy(weights: BasisWeights | SampleCounts, q: CableQubo) -> tuple
     checked the weights (finite and positive), so they are used as they
     are.  Returns (expected energy, (minimum-energy weighted bitstring, its
     energy)); energy ties resolve to the lexicographically smallest
-    bitstring.
-
-    The energies come from the block's ``energy_table``, built once per
-    block (``block_energies``' expression on the same bit matrix, formed
-    2^12 rows at a time), in two cases:
-
-    * weight on all 2^m basis states, as in the usual exact distribution:
-      the indices are 0..2^m-1 in order (the ``BasisWeights`` invariant), so
-      the table is the energies as it is, with the same floats;
-    * any weights on a block whose energies are exact
-      (``CableQubo.exact_energies``) of at most ``_TILE`` states (a table of
-      at most 512 KiB): the table is gathered at the indices, and every
-      entry is the per-call float, because no summation order can round.
-
-    Other weights (most samples of a larger or an inexact block, or a state
-    with a zero amplitude) have the energies of their own indices computed
-    per call: a lookup would not be byte-identical there, because a
-    ``bits @ Q`` of few rows may take another BLAS path than the table's
-    chunks, and on an inexact block its floats may differ in the last bit.
+    bitstring.  The energies are ``q.energies`` of the weighted states.
     """
     if isinstance(weights, SampleCounts):
         weights = weights.counts
@@ -438,12 +392,7 @@ def estimate_energy(weights: BasisWeights | SampleCounts, q: CableQubo) -> tuple
         raise ValueError(f"{weights.num_qubits}-qubit weights != block dimension {m}")
     idx = weights.indices
     w = np.asarray(weights.weights, dtype=np.float64)
-    if len(idx) == 1 << m:
-        energies = q.energy_table  # idx is exactly arange(2^m)
-    elif 1 << m <= _TILE and q.exact_energies:
-        energies = q.energy_table[idx]
-    else:
-        energies = block_energies(q, ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64))
+    energies = q.energies(idx)
     e_exp = float((w @ energies) / w.sum())
     min_energy = energies.min()
     best_key = min(index_to_bitstring(i, m) for i in idx[energies == min_energy].tolist())

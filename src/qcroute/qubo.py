@@ -115,14 +115,18 @@ class VariableMap:
         return [f"x:{s}" for s in self.segment_vars] + [f"b:{k}" for k in self.node_vars]
 
 
+_GATHER_STATES = 1 << 16  # most states of an exact block whose subsets read its table (512 KiB)
+
+
 @dataclass(frozen=True, eq=False)
 class CableQubo:
     """One cable's penalty-augmented QUBO block.
 
-    Two facts are cached per block on first use: ``energy_table``, the
-    energies of every basis state, and ``exact_energies``, whether every
-    energy is formed without rounding, so that a lookup in the table gives
-    the per-call bytes for any set of states.
+    Three facts are cached per block on first use: ``energy_bound``, the
+    bound ``A`` on every energy and partial sum; ``energy_table``, the
+    energies of every basis state; and ``exact_energies``, whether every
+    energy is formed without rounding.  ``energies`` reads them to give the
+    per-call bytes for any set of states.
     """
 
     dim: int
@@ -131,6 +135,12 @@ class CableQubo:
     vmap: VariableMap
     penalties: PenaltyWeights
     cable_id: str
+
+    @cached_property
+    def energy_bound(self) -> float:
+        """``A = sum |Q_ij| + |offset|``, at least ``|energy|`` and every
+        partial sum of it; infinite or NaN for a block with such a term."""
+        return float(np.abs(self.q).sum()) + abs(self.offset)
 
     @cached_property
     def energy_table(self) -> np.ndarray:
@@ -167,11 +177,27 @@ class CableQubo:
         whenever the exact one is, so the test is sound.  Computed on first
         use and kept for the block's lifetime.
         """
-        bound = float(np.abs(self.q).sum()) + abs(self.offset)
+        bound = self.energy_bound
         if not math.isfinite(bound) or math.copysign(1.0, self.offset) == -1.0 and self.offset == 0.0:
             return False  # with offset -0.0, a zero energy's sign would follow the summation order
         scaled = np.ldexp(np.append(self.q, self.offset), 53 - math.frexp(bound)[1])
         return bool(np.all(scaled == np.rint(scaled)))
+
+    def energies(self, indices: np.ndarray) -> np.ndarray:
+        """Energies of the strictly ascending basis ``indices``, with the
+        bytes of ``block_energies`` on their own bit rows.
+
+        All 2^dim states return ``energy_table`` itself.  An exact block of
+        at most ``_GATHER_STATES`` states gathers from the table, since no
+        summation order can round.  Any other set is formed per call: there a
+        ``bits @ Q`` of few rows may take another BLAS path than the table's
+        chunks, and its floats may differ in the last bit.
+        """
+        if len(indices) == 1 << self.dim:
+            return self.energy_table
+        if 1 << self.dim <= _GATHER_STATES and self.exact_energies:
+            return self.energy_table[indices]
+        return block_energies(self, ((indices[:, None] >> np.arange(self.dim)) & 1).astype(np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,9 +308,8 @@ def build_cable_qubo(instance: Instance, cable: Cable, penalties: PenaltyWeights
     F is the d x p incidence matrix of segments vs internal nodes.  The two
     squared penalties contribute the constant eta1 + eta2, tracked as the
     block offset.  The matrix is exactly symmetric by construction.  Raises
-    ValueError unless the energy bound ``2 * (sum |Q_ij| + |offset|)`` is
-    finite, so a coefficient, the offset or any energy overflowing rejects
-    the block.
+    ValueError unless twice the block's ``energy_bound`` is finite, so a
+    coefficient, the offset or any energy overflowing rejects the block.
     """
     vmap = variable_map(instance, cable)
     d = instance.num_segments
@@ -313,22 +338,20 @@ def build_cable_qubo(instance: Instance, cable: Cable, penalties: PenaltyWeights
     q[:d, d:] += penalties.eta4 * (-0.5 * f_mat)
     q[d:, :d] += penalties.eta4 * (-0.5 * f_mat.T)
 
-    offset = penalties.eta1 + penalties.eta2
-    # |energy| and every partial sum of it is at most sum|Q_ij| + |offset|;
-    # twice that finite leaves no overflow for brute force and its screen.
-    if not math.isfinite(2.0 * (float(np.abs(q).sum()) + abs(offset))):
-        raise ValueError(
-            f"block of cable {cable.id!r} at kappa {penalties.kappa} has a non-finite coefficient or energy bound"
-        )
     q.flags.writeable = False  # blocks are shared (``vqe.cable_block``)
-    return CableQubo(
+    block = CableQubo(
         dim=dim,
         q=q,
-        offset=offset,
+        offset=penalties.eta1 + penalties.eta2,
         vmap=vmap,
         penalties=penalties,
         cable_id=cable.id,
     )
+    if not math.isfinite(2.0 * block.energy_bound):
+        raise ValueError(
+            f"block of cable {cable.id!r} at kappa {penalties.kappa} has a non-finite coefficient or energy bound"
+        )
+    return block
 
 
 def _basis_bits(columns: Sequence[int], width: int) -> np.ndarray:
@@ -362,8 +385,8 @@ def _chunk_energies(
     j is in column ``columns[j]``.  The low 12 counter bits repeat in every
     chunk, so their bit matrix is built once per call; per chunk only the
     columns of the higher bits, constant within a chunk, are refilled from
-    ``start``.  Each chunk's energies are ``block_energies``' expression
-    written into buffers allocated once per call (a (2^12, dim) work matrix
+    ``start``.  Each chunk's energies are ``block_energies`` formed in
+    buffers allocated once per call (a (2^12, dim) work matrix
     and, without ``table``, a 2^12 energies vector), so a 20-variable call
     holds about 1.3 MiB and the chunk's operands stay in cache.  Every chunk
     has the same shape, so every ``bits @ Q`` takes the same BLAS path; 2^12
@@ -389,18 +412,19 @@ def _chunk_energies(
     for start in starts:
         bits[:, high_columns] = (start >> high_shifts) & 1
         out = energies if table is None else table[start:start + len(bits)]
-        np.matmul(bits, q.q, out=work)
-        work *= bits
-        work.sum(axis=1, out=out)
-        out += q.offset
-        yield start, out
+        yield start, block_energies(q, bits, work, out)
 
 
-def block_energies(q: CableQubo, bits: np.ndarray) -> np.ndarray:
-    """Energies z^T Q z + offset of the rows of a (n, dim) 0/1 float matrix, as a new array."""
-    energies = ((bits @ q.q) * bits).sum(axis=1)
-    energies += q.offset
-    return energies
+def block_energies(
+    q: CableQubo, bits: np.ndarray, work: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Energies z^T Q z + offset of the rows of a (n, dim) 0/1 float matrix,
+    into ``out`` (n,) via ``work`` (n, dim) if given; the floats are the same."""
+    work = np.matmul(bits, q.q, out=work)
+    work *= bits
+    out = work.sum(axis=1, out=out)
+    out += q.offset
+    return out
 
 
 def qubo_energy(q: CableQubo, z: str) -> float:

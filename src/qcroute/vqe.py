@@ -279,7 +279,7 @@ def check_shots(q: CableQubo, shots: int) -> None:
     ``build_cable_qubo``, twice that must be finite.  ``shots=0`` weighs the
     energies by probabilities, which the block's own bound covers.
     """
-    if shots and not math.isfinite(2.0 * shots * (float(np.abs(q.q).sum()) + abs(q.offset))):
+    if shots and not math.isfinite(2.0 * shots * q.energy_bound):
         raise ValueError(
             f"{shots} shots of cable {q.cable_id!r} at kappa {q.penalties.kappa} overflow the sampled energy sum"
         )

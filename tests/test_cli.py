@@ -306,6 +306,13 @@ class TestSweepAndReport:
         out = capsys.readouterr().out
         assert "layout-1 c1 1 0.666667 0.05" in out
 
+    def test_report_reads_crlf_lines_and_a_quoted_carriage_return(self, tmp_path, capsys):
+        rows = [CSV_HEADER, "layout-1,c1,1,0,true,10,10,10,0", '"layout-1","c\r2","1","0","false","13","","10",""']
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(("\r\n".join(rows) + "\r\n").encode("utf-8"))
+        assert main(["report", str(path)]) == 0
+        assert "layout-1 c\r2 1 0 -" in capsys.readouterr().out
+
     def test_report_schema_mismatch_exit_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("who,what\n1,2\n", encoding="utf-8")
@@ -323,6 +330,8 @@ class TestSweepAndReport:
             ("layout-1,c1,-2,1,true,10,10,10,0", "kappa"),
             ("layout-1,c1,1,-4,true,10,10,10,0", "seed"),  # negative
             ("layout-1,c1,1,1,true,10,,10,", "objective"),  # feasible without one
+            ("layout-1,c1,1,1,true,3,3,2,-0.5", "opt_gap"),  # negative
+            ("layout-1,c1,1,1,false,10,10,10,", "objective"),  # infeasible with one
         ],
     )
     def test_report_rejects_out_of_range_values(self, row, field, tmp_path, capsys):

@@ -249,6 +249,12 @@ class TestCsvRoundTrip:
         row = text.splitlines()[1]
         assert row == "layout-1,c1,1,0,false,3.5,,10,"
 
+    def test_a_carriage_return_in_an_id_round_trips(self):
+        records = [record(seed=0), record(seed=1, cable="c\r1"), record(seed=2, layout="L\r", feasible=False)]
+        text = records_to_csv(records)
+        assert text.splitlines()[1] == "layout-1,c1,1,0,true,10,10,10,0"  # only rows holding a "\r" are quoted
+        assert records_from_csv(text) == records
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -256,6 +262,14 @@ class TestCsvRoundTrip:
             (CSV_HEADER + "\nlayout-1,c1,1,0,true,1,1,1\n", "9 fields"),
             (CSV_HEADER + "\nlayout-1,c1,1,0,yes,1,1,1,0\n", "true/false"),
             (CSV_HEADER + "\nlayout-1,c1,1,zero,true,1,1,1,0\n", "line 2"),
+            # values a sweep never writes: a negative cost or gap, and an
+            # infeasible row that carries an objective or a gap
+            (CSV_HEADER + "\nL,c1,1,0,true,3,3,2,-0.5\n", "line 2: opt_gap must be nonnegative, got '-0.5'"),
+            (CSV_HEADER + "\nL,c1,1,0,true,3,-3,2,2.5\n", "line 2: objective must be nonnegative, got '-3'"),
+            (CSV_HEADER + "\nL,c1,1,0,false,3,,-2,\n", "line 2: oracle_objective must be nonnegative, got '-2'"),
+            (CSV_HEADER + "\nL,c1,1,0,false,3,3,2,\n", "line 2: an infeasible row leaves objective empty, got '3'"),
+            (CSV_HEADER + "\nL,c1,1,0,false,3,,2,0.5\n", "line 2: an infeasible row leaves opt_gap empty, got '0.5'"),
+            (CSV_HEADER + "\nL,c\r1,1,0,true,3,3,2,0.5\n", "line 2: new-line character seen in unquoted field"),
         ],
     )
     def test_schema_mismatches_rejected(self, text, message):

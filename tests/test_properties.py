@@ -144,7 +144,17 @@ def run_records(draw):
 def test_results_csv_round_trip(records):
     text = records_to_csv(records)
     keys = [(r.layout, r.cable_id, r.kappa, r.seed) for r in records]
-    if len(set(keys)) < len(keys):  # a sweep never writes one; the reader rejects it
+    # a sweep never writes a negative cost or gap, nor an infeasible row with
+    # an objective or a gap; the reader rejects them
+    unwritten = any(
+        min(r.objective or 0.0, r.oracle_objective, r.opt_gap or 0.0) < 0.0
+        or not r.feasible and (r.objective is not None or r.opt_gap is not None)
+        for r in records
+    )
+    if unwritten:
+        with pytest.raises(ValueError, match="must be nonnegative|an infeasible row leaves"):
+            records_from_csv(text)
+    elif len(set(keys)) < len(keys):  # a sweep never writes one; the reader rejects it
         with pytest.raises(ValueError, match="repeats the"):
             records_from_csv(text)
     else:

@@ -728,9 +728,10 @@ class TestEnergyTablePath:
 
 class TestExactBlockGather:
     """On a block whose energies are exact (``CableQubo.exact_energies``) and
-    of at most ``_TILE`` states, any weights read the table, and the gathered
-    floats are the per-call ones under every BLAS kernel; other blocks keep
-    the per-call path for weights that miss a state."""
+    of at most ``_GATHER_STATES`` states, ``CableQubo.energies`` reads the
+    table for any states, and the gathered floats are the per-call ones under
+    every BLAS kernel; other blocks form the energies of states that miss one
+    per call."""
 
     @staticmethod
     def assert_gather_equals_per_call(q, rng, count):
@@ -756,13 +757,23 @@ class TestExactBlockGather:
         assert q.exact_energies
         self.assert_gather_equals_per_call(q, np.random.default_rng(m), 8)
 
-    def test_a_subset_of_an_exact_block_reads_the_table_up_to_one_tile(self):
+    def test_a_subset_reads_the_table_up_to_gather_states(self, layout2):
+        assert qubo._GATHER_STATES == 1 << 16
         rng = np.random.default_rng(0)
-        for m, read in ((16, True), (17, False)):
-            q = random_qubo(m, m)
-            assert q.exact_energies
-            assert_same_as_parent_formula(BasisWeights(np.sort(rng.choice(1 << m, 50, replace=False)), np.ones(50), m), q)
+        blocks = (
+            (random_qubo(16, 16), True, True),
+            (random_qubo(17, 17), True, False),
+            (baseline_qubo(layout2, layout2.cables[0]), False, False),
+        )
+        for q, exact, read in blocks:
+            m = q.dim
+            assert q.exact_energies == exact
+            idx = np.sort(rng.choice(1 << m, 50, replace=False))
+            bits = ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64)
+            assert q.energies(idx).tobytes() == qubo.block_energies(q, bits).tobytes()
             assert ("energy_table" in vars(q)) == read
+            assert_same_as_parent_formula(BasisWeights(idx, np.ones(50), m), q)
+            assert q.energies(np.arange(1 << m)) is q.energy_table
 
     def test_exactness_truth_table(self, layout1, layout2):
         assert all(baseline_qubo(layout1, c, k).exact_energies for c in layout1.cables for k in (0.25, 1.0, 4.0))
@@ -783,6 +794,8 @@ class TestExactBlockGather:
         assert not block(0.0, 0.0, offset=-0.0).exact_energies
         assert not block(np.inf, 1.0).exact_energies
         assert not block(np.nan, 1.0).exact_energies
+        assert block(np.inf, 1.0).energy_bound == np.inf
+        assert np.isnan(block(np.nan, 1.0).energy_bound)
 
     def test_a_sampled_layout2_solve_builds_no_table(self, layout2):
         block = vqe.cable_block(layout2, layout2.cables[0], 1.0)

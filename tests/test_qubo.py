@@ -140,6 +140,15 @@ class TestBuildCableQubo:
             with pytest.raises(ValueError, match=r"cable 'c1' at kappa 1.6e\+307 has a non-finite coefficient"):
                 build_cable_qubo(triangle, triangle.cables[0], pens)
 
+    @pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0, 2.0, 4.0])
+    def test_block_holds_its_energy_bound(self, layout1, layout2, kappa):
+        for instance in (layout1, layout2):
+            for cable in instance.cables:
+                q = make_qubo(instance, cable.id, kappa)
+                assert "energy_bound" in vars(q)
+                expected = float(np.abs(q.q).sum()) + abs(q.offset)
+                assert np.float64(q.energy_bound).tobytes() == np.float64(expected).tobytes()
+
     def test_triangle_frozen_energies(self, triangle):
         # Derived by literal evaluation of objective + penalty expressions.
         q = make_qubo(triangle, "c1")
@@ -302,8 +311,12 @@ class TestEnergyTable:
         for instance in (layout1, layout2):
             for cable in instance.cables:
                 q = make_qubo(instance, cable.id, kappa)
-                expected = block_energies(q, shifted_bits(q.dim, range(q.dim)))
+                bits = shifted_bits(q.dim, range(q.dim))
+                expected = block_energies(q, bits)
                 assert q.energy_table.tobytes() == expected.tobytes()
+                work, out = np.empty_like(bits), np.empty(len(bits))
+                assert block_energies(q, bits, work, out) is out
+                assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("chords", [RING_18_CHORDS[:3], RING_18_CHORDS, RING_18_CHORDS + [(0, 4), (3, 6)]])
     def test_chunked_table_bytes_equal_one_product(self, chords):
